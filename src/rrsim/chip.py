@@ -32,6 +32,8 @@ UNITS_PER_PAIR = 16
 
 _CELL_DTYPE = np.dtype([("stress", "<u4"), ("value", "u1")])
 
+_PAST_ENDURANCE = "cells past rated endurance can no longer store data reliably"
+
 # Popcount of every byte value, for toggle accounting.
 _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
@@ -80,6 +82,19 @@ class TimingTrace:
         return list(zip(self.addresses.tolist(),
                         self.set_times.tolist(),
                         self.reset_times.tolist()))
+
+
+def _increasing_index(addrs: np.ndarray):
+    """Index selecting `addrs` if they are strictly increasing, else None.
+
+    A contiguous run becomes a slice, which reads and writes the cell
+    arrays without a gather or scatter.  `addrs` must be non-empty.
+    """
+    if not np.all(addrs[1:] > addrs[:-1]):
+        return None
+    if addrs[-1] - addrs[0] == len(addrs) - 1:
+        return slice(int(addrs[0]), int(addrs[-1]) + 1)
+    return addrs
 
 
 class ChipModel:
@@ -164,7 +179,7 @@ class ChipModel:
         h.update(self.seed.to_bytes(8, "little", signed=True))
         h.update(tag)
         for part in parts:
-            h.update(np.ascontiguousarray(part).tobytes())
+            h.update(np.ascontiguousarray(part))
         return np.random.Generator(np.random.PCG64(int.from_bytes(h.digest(), "little")))
 
     def _scale(self) -> float:
@@ -176,15 +191,13 @@ class ChipModel:
             drift += self.profile.bake_drift * self._bake_days
         return self.chip_factor * self.profile.temp_factor(self.temperature) * drift
 
-    def _check_wear(self, addrs, extra_pairs=0):
-        worst = self._units[addrs] + extra_pairs * UNITS_PER_PAIR
-        limit = self.profile.endurance_max * UNITS_PER_PAIR
-        mask = worst > limit
+    def _check_wear(self, addrs: np.ndarray, worst: np.ndarray):
+        """Refuse the operation if any entry of `worst` (the wear `addrs`
+        would carry, in units) passes the endurance limit."""
+        mask = worst > self.profile.endurance_max * UNITS_PER_PAIR
         if np.any(mask):
-            bad = np.atleast_1d(np.asarray(addrs)[mask])
-            raise WearOutError(
-                "cells past rated endurance can no longer store data reliably",
-                addresses=bad.tolist())
+            raise WearOutError(_PAST_ENDURANCE,
+                               addresses=np.atleast_1d(addrs[mask]).tolist())
 
     # -- writes ------------------------------------------------------------
 
@@ -203,7 +216,8 @@ class ChipModel:
         if toggled == 0:
             self.simulated_clock += self.profile.noop_time
             return WriteResult("noop", self.profile.noop_time)
-        self._check_wear(np.array([address]))
+        cell = np.array([address])
+        self._check_wear(cell, self._units[cell])
         set_bits = old & ~value & 0xFF
         kind = "set" if set_bits else "reset"
         stress = self._units[address] / UNITS_PER_PAIR
@@ -217,20 +231,42 @@ class ChipModel:
         return WriteResult(kind, seconds)
 
     def buffered_write(self, base_address: int, values) -> float:
-        """Write one full buffer of bytes with a single flat-latency command."""
+        """Write whole buffers of bytes, one flat-latency command per buffer.
+
+        `values` may span any positive whole number of buffers from
+        `base_address`; they are issued as that many consecutive buffered
+        commands, and the clock advances once per command.  If a toggled
+        cell in buffer k is past endurance, buffers 0..k-1 are written and
+        WearOutError names buffer k's worn cells.  Returns the seconds
+        consumed.
+        """
         buf = np.asarray(values, dtype=np.uint8)
-        if len(buf) != self.geometry.buffer_size:
+        size = self.geometry.buffer_size
+        if len(buf) == 0 or len(buf) % size:
             raise ConfigurationError(
-                f"buffered write needs exactly {self.geometry.buffer_size} bytes")
+                f"buffered write needs a whole number of {size}-byte buffers")
         self._check_range(base_address, len(buf))
         sl = slice(base_address, base_address + len(buf))
         toggled = self._values[sl] ^ buf
-        if np.any(toggled):
-            self._check_wear(np.arange(sl.start, sl.stop)[toggled != 0])
-        self._units[sl] += _POPCOUNT[toggled].astype(np.int64)
-        self._values[sl] = buf
-        elapsed = self.profile.buffered_command_time
-        self.simulated_clock += elapsed
+        limit = self.profile.endurance_max * UNITS_PER_PAIR
+        worn = (toggled != 0) & (self._units[sl] > limit)
+        done = len(buf)
+        if np.any(worn):
+            first = int(np.argmax(worn))
+            done = first - first % size
+        ok = slice(base_address, base_address + done)
+        self._units[ok] += _POPCOUNT[toggled[:done]].astype(np.int64)
+        self._values[ok] = buf[:done]
+        # One addition per command: n * t rounds differently from n sums,
+        # and the clock is persisted.
+        step = self.profile.buffered_command_time
+        elapsed = 0.0
+        for _ in range(done // size):
+            elapsed += step
+            self.simulated_clock += step
+        if done < len(buf):
+            bad = np.flatnonzero(worn[done:done + size]) + (base_address + done)
+            raise WearOutError(_PAST_ENDURANCE, addresses=bad.tolist())
         return elapsed
 
     def apply_stress_pairs(self, addresses, pairs: int) -> float:
@@ -240,6 +276,12 @@ class ChipModel:
         buffer windows, with only the wear accounting and the flat command
         costs applied in bulk.  Stored values are left unchanged (each pair
         ends where it started).  Returns the simulated seconds consumed.
+
+        Strictly increasing addresses (every codec and harness caller)
+        take a sort-free path.  Other input is still honoured: an address
+        listed m times gains m * pairs, is checked against the endurance
+        limit at that total before anything is applied, and its buffer is
+        paid for once.
         """
         addrs = np.asarray(addresses, dtype=np.int64)
         if pairs < 0:
@@ -247,19 +289,31 @@ class ChipModel:
         if len(addrs) == 0 or pairs == 0:
             return 0.0
         self._check_addresses(addrs)
-        self._check_wear(addrs, extra_pairs=pairs)
-        np.add.at(self._units, addrs, pairs * UNITS_PER_PAIR)
+        extra = pairs * UNITS_PER_PAIR
+        cells = _increasing_index(addrs)
+        if cells is not None:
+            self._check_wear(addrs, self._units[cells] + extra)
+            self._units[cells] += extra
+        else:
+            _, inverse, counts = np.unique(addrs, return_inverse=True,
+                                           return_counts=True)
+            self._check_wear(addrs, self._units[addrs] + counts[inverse] * extra)
+            np.add.at(self._units, addrs, extra)
         commands = self._buffer_span_count(addrs)
         elapsed = pairs * commands * self.profile.pair_time
         self.simulated_clock += elapsed
         return elapsed
 
     def _buffer_span_count(self, addrs: np.ndarray) -> int:
-        """Buffered commands needed to cover the addresses once."""
-        uniq = np.unique(addrs)
-        runs = np.split(uniq, np.nonzero(np.diff(uniq) != 1)[0] + 1)
+        """Buffered commands needed to cover the distinct addresses once:
+        ceil(length / buffer_size) per run of consecutive addresses."""
+        gaps = np.diff(addrs)
+        if not np.all(gaps > 0):
+            gaps = np.diff(np.unique(addrs))
+        run_ends = np.append(np.flatnonzero(gaps != 1), len(gaps))
+        lengths = np.diff(run_ends, prepend=-1)
         size = self.geometry.buffer_size
-        return int(sum(-(-len(run) // size) for run in runs))
+        return int((-(-lengths // size)).sum())
 
     def apply_transitions(self, addresses, transitions, seconds: float) -> None:
         """Add raw per-cell bit-transition counts plus a flat time cost.
@@ -302,17 +356,22 @@ class ChipModel:
         """Write all-zeros then all-ones per address, recording both times.
 
         Each measured address gains exactly one set-reset pair of wear; both
-        samples are drawn at the wear level on entry.
+        samples are drawn at the wear level on entry.  Strictly increasing
+        addresses skip the duplicate search; a repeated address is measured
+        once per listing, each time at the wear its earlier entries left.
         """
         addrs = np.asarray(addresses, dtype=np.int64)
         if len(addrs) == 0:
             return TimingTrace(addrs, [], [])
         self._check_addresses(addrs)
-        self._check_wear(addrs)
-        units = self._units[addrs]
-        if len(np.unique(addrs)) != len(addrs):
-            # Repeated addresses must see the wear of earlier entries.
-            return self._measure_with_repeats(addrs)
+        cells = _increasing_index(addrs)
+        units = self._units[addrs if cells is None else cells]
+        self._check_wear(addrs, units)
+        if cells is None:
+            if len(np.unique(addrs)) != len(addrs):
+                # Repeated addresses must see the wear of earlier entries.
+                return self._measure_with_repeats(addrs)
+            cells = addrs
         stress = units / UNITS_PER_PAIR
         rng = self._rng(b"trace", addrs, units)
         scale = self._scale()
@@ -321,8 +380,8 @@ class ChipModel:
         if self.random_delay_enabled:
             set_times = set_times + rng.uniform(0.0, self.profile.jitter_max, len(addrs))
             reset_times = reset_times + rng.uniform(0.0, self.profile.jitter_max, len(addrs))
-        self._units[addrs] = units + UNITS_PER_PAIR
-        self._values[addrs] = 0xFF
+        self._units[cells] += UNITS_PER_PAIR
+        self._values[cells] = 0xFF
         self.simulated_clock += float(set_times.sum() + reset_times.sum())
         return TimingTrace(addrs, set_times, reset_times)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chip import ChipGeometry, ChipModel
+from .chip import UNITS_PER_PAIR, ChipGeometry, ChipModel
 from .errors import (AmbiguousDecodeWarning, ConfigurationError, EncodeError,
                      FormatError, UsedCellsWarning, WearOutError)
 from .profile import CalibrationProfile
@@ -142,10 +142,18 @@ class HidingKey:
             d = json.loads(text)
         except json.JSONDecodeError as exc:
             raise FormatError(f"key file is not valid JSON: {exc}") from exc
-        if d.get("format") != KEY_FORMAT:
+        if not isinstance(d, dict) or d.get("format") != KEY_FORMAT:
             raise FormatError("not a hiding-key file")
         if d.get("version") != KEY_VERSION:
             raise FormatError(f"unsupported key version {d.get('version')}")
+        # JSON floats and booleans would otherwise pass as integers and
+        # select the wrong cells.
+        for name in _KEY_INT_FIELDS:
+            if name in d and not _is_json_int(d[name]):
+                raise FormatError(f"malformed key file: {name} must be an integer")
+        if "rotations" in d and not (isinstance(d["rotations"], list)
+                                     and all(map(_is_json_int, d["rotations"]))):
+            raise FormatError("malformed key file: rotations must be a list of integers")
         try:
             key = cls(
                 base_address=d["base_address"],
@@ -160,6 +168,14 @@ class HidingKey:
         if d.get("layout_mode") != key.layout_mode:
             raise FormatError("layout_mode inconsistent with replica_count")
         return key
+
+
+_KEY_INT_FIELDS = ("base_address", "replica_size", "replica_count",
+                   "payload_length", "stress_count")
+
+
+def _is_json_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def generate_key(payload_length: int, base_address: int, replica_size: int,
@@ -210,12 +226,11 @@ class AddressPlan:
             raise ConfigurationError("plan does not fit the chip")
         self.key = key
         base, R, B = key.base_address, key.replica_size, key.payload_length
-        # bit_of_position[j] = payload bit stored at logical offset j
-        bit_of_position = np.empty(key.footprint, dtype=np.int64)
-        for r, k in enumerate(key.rotations):
-            row = r * B * R
-            for j in range(B):
-                bit_of_position[row + j * R: row + (j + 1) * R] = (j + k) % B
+        # bit_of_position[j] = payload bit stored at logical offset j: row r
+        # holds groups of R copies of bits k_r, k_r + 1, ... (mod B).
+        rotations = np.asarray(key.rotations, dtype=np.int64)
+        bit_of_position = ((np.arange(B)[None, :] + rotations[:, None]) % B
+                           ).repeat(R, axis=1).ravel()
         if permutation is not None:
             perm = np.asarray(permutation(key.footprint)
                               if callable(permutation) else permutation,
@@ -273,7 +288,7 @@ def encode(chip: ChipModel, key: HidingKey, payload: Payload,
         raise ConfigurationError(
             f"payload has {len(payload)} bits, key expects {key.payload_length}")
     plan = AddressPlan(key, chip.geometry, permutation)
-    prior = chip.stress_pairs[plan.addresses]
+    prior = chip.wear_units(plan.addresses) / UNITS_PER_PAIR
     if prior.mean() > 0:
         warnings.warn(
             f"target cells already carry {prior.mean():.1f} mean pairs of wear",
@@ -296,14 +311,14 @@ def encode(chip: ChipModel, key: HidingKey, payload: Payload,
 
 
 def _init_to_erased(chip: ChipModel, addresses: np.ndarray) -> float:
-    """Write 0xFF to every address, full buffers first, stragglers bytewise."""
+    """Write 0xFF to a contiguous footprint: every full buffer in one
+    buffered write, the stragglers bytewise."""
     elapsed = 0.0
-    size = chip.geometry.buffer_size
-    erased = np.full(size, 0xFF, dtype=np.uint8)
-    n_full = len(addresses) // size
-    for i in range(n_full):
-        elapsed += chip.buffered_write(int(addresses[i * size]), erased)
-    for a in addresses[n_full * size:]:
+    n_full = len(addresses) - len(addresses) % chip.geometry.buffer_size
+    if n_full:
+        elapsed += chip.buffered_write(int(addresses[0]),
+                                       np.full(n_full, 0xFF, dtype=np.uint8))
+    for a in addresses[n_full:]:
         elapsed += chip.timed_write(int(a), 0xFF).seconds
     return elapsed
 

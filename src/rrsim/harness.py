@@ -48,18 +48,26 @@ class SeparationReport:
 
 
 def min_threshold_errors(means, truth):
-    """Fewest bit errors any threshold achieves (bit = mean > cut)."""
+    """Fewest bit errors any threshold achieves (bit = mean > cut).
+
+    The cuts tried are one below all means, the midpoint of each pair of
+    adjacent distinct means, and one above all.  A cut's errors are the
+    bits at or below it that are not 0 plus those above it that are not 1,
+    counted by prefix sums over the means in sorted order.
+    """
     means = np.asarray(means, dtype=float)
     truth = np.asarray(truth, dtype=np.int64)
-    order = np.sort(np.unique(means))
-    cuts = [order[0] - 1.0]
-    cuts.extend(0.5 * (order[:-1] + order[1:]))
-    cuts.append(order[-1] + 1.0)
-    best = len(truth)
-    for cut in cuts:
-        errors = int(np.sum((means > cut).astype(np.int64) != truth))
-        best = min(best, errors)
-    return best
+    rank = np.argsort(means, kind="stable")
+    ordered = means[rank]
+    distinct = ordered[np.append(True, ordered[1:] != ordered[:-1])]
+    cuts = np.concatenate(([distinct[0] - 1.0],
+                           0.5 * (distinct[:-1] + distinct[1:]),
+                           [distinct[-1] + 1.0]))
+    below = np.searchsorted(ordered, cuts, side="right")
+    wrong_as_0 = np.append(0, np.cumsum(truth[rank] != 0))
+    wrong_as_1 = np.append(0, np.cumsum(truth[rank] != 1))
+    errors = wrong_as_0[below] + (wrong_as_1[-1] - wrong_as_1[below])
+    return int(errors.min())
 
 
 def separation_report(bit_means, truth, op, stress_count, post_stress=0,

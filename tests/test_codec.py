@@ -1,5 +1,6 @@
 """Codec behaviour: keys, layouts, encode wear, decode, clustering, ECC."""
 
+import json
 import warnings
 
 import numpy as np
@@ -370,3 +371,33 @@ class TestEcc:
         expected = 32 * 3 / (96 * 95 / 2)
         sd = np.sqrt(expected * (1 - expected) / trials)
         assert abs(fails / trials - expected) < 4 * sd
+
+
+class TestKeyFieldTypes:
+    def _text(self, **changes):
+        d = json.loads(rrsim.HidingKey(64, 4, 2, (1, 3), 8, 15_000).to_json())
+        d.update(changes)
+        return json.dumps(d)
+
+    def test_valid_key_still_loads(self):
+        key = rrsim.HidingKey.from_json(self._text())
+        assert key == rrsim.HidingKey(64, 4, 2, (1, 3), 8, 15_000)
+
+    @pytest.mark.parametrize("field", ["base_address", "replica_size",
+                                       "replica_count", "payload_length",
+                                       "stress_count"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, "2", None])
+    def test_non_integer_field_rejected(self, field, value):
+        with pytest.raises(rrsim.FormatError, match=field):
+            rrsim.HidingKey.from_json(self._text(**{field: value}))
+
+    @pytest.mark.parametrize("rotations", [[1, 3.0], [True, 0], [1, "3"],
+                                           "13", {"0": 1}])
+    def test_non_integer_rotations_rejected(self, rotations):
+        with pytest.raises(rrsim.FormatError, match="rotations"):
+            rrsim.HidingKey.from_json(self._text(rotations=rotations))
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "\"rrsim-key\"", "7"])
+    def test_non_object_json_rejected(self, text):
+        with pytest.raises(rrsim.FormatError):
+            rrsim.HidingKey.from_json(text)
