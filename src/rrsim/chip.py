@@ -31,6 +31,10 @@ STATE_MAGIC = b"RRSIM\x01"
 UNITS_PER_PAIR = 16
 
 _CELL_DTYPE = np.dtype([("stress", "<u4"), ("value", "u1")])
+# Header after the magic: address count, word length, buffer size, seed,
+# simulated clock, temperature, random-delay flag.
+_HEAD_FORMAT = "<QHIqdd?"
+_HEAD_SIZE = struct.calcsize(_HEAD_FORMAT)
 
 _PAST_ENDURANCE = "cells past rated endurance can no longer store data reliably"
 
@@ -103,6 +107,19 @@ class ChipModel:
     def __init__(self, geometry: ChipGeometry, profile: CalibrationProfile,
                  seed: int, random_delay_enabled: bool = False):
         geometry.validate()
+        self._assemble(geometry, profile, seed, random_delay_enabled,
+                       np.zeros(geometry.address_count, dtype=np.int64),
+                       np.full(geometry.address_count, 0xFF, dtype=np.uint8))
+
+    def _assemble(self, geometry, profile, seed, random_delay_enabled,
+                  units, values, chip_factor=None):
+        """Set every attribute around the given cell arrays, which the chip
+        takes over.  `__init__`, `clone` and `load_state` all build here;
+        the chip factor is drawn from the seed unless one is passed."""
+        if (profile.endurance_max + 1) * UNITS_PER_PAIR >= 2**32:
+            raise ConfigurationError(
+                f"endurance_max {profile.endurance_max} overflows the state "
+                f"file's uint32 wear field")
         self.geometry = geometry
         self.profile = profile
         self.seed = int(seed)
@@ -112,9 +129,10 @@ class ChipModel:
         self.bake_log: list[tuple[float, float]] = []  # (celsius, seconds), not persisted
         self._bake_days = 0.0
         # Wear in bit-transition units (16 = one byte set-reset pair).
-        self._units = np.zeros(geometry.address_count, dtype=np.int64)
-        self._values = np.full(geometry.address_count, 0xFF, dtype=np.uint8)
-        self.chip_factor = profile.draw_chip_factor(self._rng(b"chip-factor"))
+        self._units = units
+        self._values = values
+        self.chip_factor = (profile.draw_chip_factor(self._rng(b"chip-factor"))
+                            if chip_factor is None else chip_factor)
 
     # -- basic state -------------------------------------------------------
 
@@ -149,17 +167,13 @@ class ChipModel:
     def clone(self) -> "ChipModel":
         """Independent copy sharing the (immutable) profile."""
         twin = ChipModel.__new__(ChipModel)
-        twin.geometry = self.geometry
-        twin.profile = self.profile
-        twin.seed = self.seed
+        twin._assemble(self.geometry, self.profile, self.seed,
+                       self.random_delay_enabled, self._units.copy(),
+                       self._values.copy(), self.chip_factor)
         twin.temperature = self.temperature
         twin.simulated_clock = self.simulated_clock
-        twin.random_delay_enabled = self.random_delay_enabled
         twin.bake_log = list(self.bake_log)
         twin._bake_days = self._bake_days
-        twin._units = self._units.copy()
-        twin._values = self._values.copy()
-        twin.chip_factor = self.chip_factor
         return twin
 
     # -- internals ---------------------------------------------------------
@@ -407,9 +421,14 @@ class ChipModel:
     # -- persistence -------------------------------------------------------
 
     def save_state(self) -> bytes:
-        """Serialize to the versioned little-endian chip-state format."""
+        """Serialize to the versioned little-endian chip-state format.
+
+        The cells are packed into one structured buffer (the int64 wear
+        cast to the uint32 field on assignment) and copied once into the
+        returned bytes.
+        """
         head = struct.pack(
-            "<QHIqdd?",
+            _HEAD_FORMAT,
             self.geometry.address_count,
             self.geometry.word_length,
             self.geometry.buffer_size,
@@ -419,9 +438,9 @@ class ChipModel:
             self.random_delay_enabled,
         )
         cells = np.empty(self.geometry.address_count, dtype=_CELL_DTYPE)
-        cells["stress"] = self._units.astype(np.uint32)
+        cells["stress"] = self._units
         cells["value"] = self._values
-        return STATE_MAGIC + head + cells.tobytes()
+        return b"".join((STATE_MAGIC, head, cells))
 
 
 def new_chip(geometry: ChipGeometry | None = None,
@@ -437,18 +456,22 @@ def new_chip(geometry: ChipGeometry | None = None,
     return ChipModel(geometry, profile, seed, random_delay_enabled)
 
 
-def load_state(data: bytes, profile: CalibrationProfile | None = None) -> ChipModel:
-    """Rebuild a chip from `save_state` output; raises FormatError if corrupt."""
-    if len(data) < len(STATE_MAGIC) or data[:len(STATE_MAGIC)] != STATE_MAGIC:
+def load_state(data, profile: CalibrationProfile | None = None) -> ChipModel:
+    """Rebuild a chip from `save_state` output; raises FormatError if corrupt.
+
+    `data` may be any C-contiguous bytes-like object (`bytes`, `bytearray`,
+    `memoryview`, a uint8 array).  The cells are read in place and copied
+    once into the chip's own wear and value arrays.
+    """
+    data = memoryview(data).cast("B")
+    if data[:len(STATE_MAGIC)] != STATE_MAGIC:
         raise FormatError("bad magic: not a chip-state file")
-    head_fmt = "<QHIqdd?"
-    head_size = struct.calcsize(head_fmt)
     off = len(STATE_MAGIC)
-    if len(data) < off + head_size:
+    if len(data) < off + _HEAD_SIZE:
         raise FormatError("truncated chip-state header")
     (address_count, word_length, buffer_size, seed, clock, temperature,
-     random_delay) = struct.unpack_from(head_fmt, data, off)
-    off += head_size
+     random_delay) = struct.unpack_from(_HEAD_FORMAT, data, off)
+    off += _HEAD_SIZE
     expected = address_count * _CELL_DTYPE.itemsize
     if len(data) - off != expected:
         raise FormatError(
@@ -462,10 +485,15 @@ def load_state(data: bytes, profile: CalibrationProfile | None = None) -> ChipMo
     if profile is None:
         from .profile import default_profile
         profile = default_profile()
-    chip = ChipModel(geometry, profile, seed, random_delay)
-    cells = np.frombuffer(data[off:], dtype=_CELL_DTYPE)
-    chip._units = cells["stress"].astype(np.int64)
-    chip._values = cells["value"].copy()
+    cells = np.frombuffer(data, dtype=_CELL_DTYPE, offset=off)
+    chip = ChipModel.__new__(ChipModel)
+    chip._assemble(geometry, profile, seed, random_delay,
+                   cells["stress"].astype(np.int64), cells["value"].copy())
     chip.simulated_clock = clock
-    chip.temperature = temperature
+    # A new chip's 25 C loads even where the rated range leaves it out.
+    if temperature != chip.temperature:
+        try:
+            chip.set_temperature(temperature)
+        except ConfigurationError as exc:
+            raise FormatError(f"temperature in state file: {exc}") from exc
     return chip

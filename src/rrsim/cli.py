@@ -5,14 +5,15 @@ inputs and seed produce byte-identical output files, and the seed is
 recorded in everything the tool writes.  Simulated chip time is always
 labeled as such; it is silicon time, not wall time.
 
-Exit codes: 0 success, 2 usage error, 3 format error, 4 ambiguous decode,
-5 wear-out.
+Exit codes: 0 success, 2 usage error (an unwritable output path
+included), 3 format error, 4 ambiguous decode, 5 wear-out.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 from dataclasses import dataclass
@@ -79,7 +80,9 @@ def _load_chip(cfg: RunConfig, profile):
         raise ConfigurationError("this command needs --chip")
     try:
         with open(cfg.chip_path, "rb") as fh:
-            chip = load_state(fh.read(), profile)
+            # NumPy asks the kernel for huge pages on buffers of 4 MB and
+            # up; a bytes object of that size faults in 4 KiB at a time.
+            chip = load_state(np.fromfile(fh, dtype=np.uint8), profile)
     except OSError as exc:
         raise FormatError(f"cannot read chip state: {exc}") from exc
     if cfg.temperature is not None and cfg.temperature != chip.temperature:
@@ -404,9 +407,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser.  Building it costs milliseconds (every
+    argument's help formatter queries the terminal), and `parse_args`
+    leaves it unchanged, so `main` reuses it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigurationError as exc:
@@ -418,7 +428,8 @@ def main(argv=None) -> int:
     except (WearOutError, EncodeError) as exc:
         print(f"wear-out: {exc}", file=sys.stderr)
         return EXIT_WEAR_OUT
-    except RRSimError as exc:
+    except (RRSimError, OSError) as exc:
+        # OSError: an output path that cannot be written.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

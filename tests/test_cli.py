@@ -207,3 +207,48 @@ class TestUsageErrors:
                     "--replica-size", "256", "--base", "16000",
                     "--address-count", "16384", "--seed", "1"])
         assert code == cli.EXIT_USAGE
+
+
+class TestUnwritableOutput:
+    """An output path in a missing directory is a usage error, not a crash."""
+
+    def assert_usage_error(self, args, capsys):
+        assert run(args) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_hide_key_out(self, workdir, capsys):
+        args = hide_args(workdir)
+        args[args.index("--key-out") + 1] = str(workdir / "missing" / "k.json")
+        self.assert_usage_error(args, capsys)
+
+    def test_hide_chip_out(self, workdir, capsys):
+        args = hide_args(workdir)
+        args[args.index("--chip-out") + 1] = str(workdir / "missing" / "c.bin")
+        self.assert_usage_error(args, capsys)
+
+    def test_sweep_out(self, workdir, capsys):
+        self.assert_usage_error(
+            ["sweep", "--kind", "initial-stress", "--grid", "",
+             "--out", str(workdir / "missing" / "s.csv"),
+             "--address-count", "16384", "--seed", "4"], capsys)
+
+    def test_retrieve_chip_out(self, workdir, capsys):
+        run(hide_args(workdir))
+        capsys.readouterr()
+        self.assert_usage_error(
+            ["retrieve", "--key", str(workdir / "key.json"),
+             "--chip", str(workdir / "chip.bin"),
+             "--chip-out", str(workdir / "missing" / "c.bin")], capsys)
+
+
+def test_main_reuses_one_parser(workdir):
+    run(["sweep", "--kind", "initial-stress", "--grid", "",
+         "--out", str(workdir / "a.csv"), "--address-count", "16384"])
+    parser = cli._parser()
+    run(["sweep", "--kind", "initial-stress", "--grid", "",
+         "--out", str(workdir / "b.csv"), "--address-count", "16384"])
+    assert cli._parser() is parser
+    assert cli.build_parser() is not parser
+    assert (workdir / "a.csv").read_bytes() == (workdir / "b.csv").read_bytes()

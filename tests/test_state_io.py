@@ -1,0 +1,222 @@
+"""Chip-state I/O: pinned full-chip bytes, accepted inputs, memory budget.
+
+The sha256 digests were recorded before `save_state` and `load_state`
+stopped building throwaway buffers, so a pass here shows the leaner paths
+write and read the same bytes.  The allocation budgets are tracemalloc
+counts, not timings, so they repeat exactly on any host.
+"""
+
+import contextlib
+import hashlib
+import io
+import math
+import struct
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import rrsim
+from rrsim import cli
+from rrsim.chip import STATE_MAGIC, UNITS_PER_PAIR
+from conftest import fresh_chip
+
+PAYLOAD = "0xECE3038B"
+FULL_CHIP = 1_048_576
+
+# Full-chip CLI hide + retrieve: one block layout, one rotated-rows layout.
+LAYOUTS = {
+    "block": ["--seed", "11", "--base", "123456", "--replica-size", "256"],
+    "rows": ["--seed", "12", "--base", "700001", "--replicas", "8",
+             "--replica-size", "32"],
+}
+
+GOLDEN = {
+    "block.hide_state": "e475300d49fbb1e2e2be223f18497067d8743cb00d1e75a169d6aaf0aca72628",
+    "block.retrieve_stdout": "a182b9b8e9e0b67f4fcf39f199e6fc8467d950b04916126b1bedb9ed77c22157",
+    "block.retrieve_state": "bbff8b8505dbb5bb62ed5a95510d62427ec9a0c15e76c3d852317f9b76d0cf6b",
+    "rows.hide_state": "b3e475db9d297a54fe1644b6fa7558e187192fc23310f30e80c6d5df72c2509a",
+    "rows.retrieve_stdout": "f66ce4f24711d0af54568392a64023798c6611d4b817485e398ef0be9328b6df",
+    "rows.retrieve_state": "8fe5921c6210eb371604fc691b1b517b0a35877c454718f39af11d7ba21ed162",
+}
+
+# Offset of the temperature field: magic, then <QHIqd (count, word length,
+# buffer size, seed, clock).
+TEMPERATURE_OFFSET = len(STATE_MAGIC) + struct.calcsize("<QHIqd")
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def cli_digests(tmp_path, name):
+    """Digests of `hide`'s state file, `retrieve`'s stdout and the state
+    `retrieve --chip-out` writes after measuring."""
+    key, state, after = (str(tmp_path / f) for f in
+                         ("key.json", "chip.bin", "after.bin"))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["hide", "--payload", PAYLOAD, "--key-out", key,
+                         "--chip-out", state, "--n-stress", "15000",
+                         *LAYOUTS[name]]) == cli.EXIT_OK
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["retrieve", "--key", key, "--chip", state,
+                         "--chip-out", after]) == cli.EXIT_OK
+    assert f"payload: {PAYLOAD}" in out.getvalue()
+    with open(state, "rb") as fh:
+        hide_state = fh.read()
+    with open(after, "rb") as fh:
+        retrieve_state = fh.read()
+    assert len(hide_state) == len(retrieve_state) == \
+        len(STATE_MAGIC) + struct.calcsize("<QHIqdd?") + 5 * FULL_CHIP
+    return {f"{name}.hide_state": sha(hide_state),
+            f"{name}.retrieve_stdout": sha(out.getvalue().encode()),
+            f"{name}.retrieve_state": sha(retrieve_state)}
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUTS))
+def test_full_chip_cli_bytes(tmp_path, name):
+    assert cli_digests(tmp_path, name) == \
+        {k: v for k, v in GOLDEN.items() if k.startswith(f"{name}.")}
+
+
+# -- accepted inputs ---------------------------------------------------------
+
+def worn_chip(profile):
+    chip = fresh_chip(profile, seed=21, addresses=4096)
+    chip.apply_stress_pairs(np.arange(300, 900), 12_345)
+    chip.timed_write(5, 0x3C)
+    chip.set_temperature(61.5)
+    return chip
+
+
+BYTES_LIKE = {
+    "bytes": bytes,
+    "bytearray": bytearray,
+    "memoryview": memoryview,
+    "uint8 array": lambda b: np.frombuffer(b, dtype=np.uint8).copy(),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BYTES_LIKE))
+def test_load_state_accepts_bytes_like(profile, kind):
+    chip = worn_chip(profile)
+    twin = rrsim.load_state(BYTES_LIKE[kind](chip.save_state()), profile)
+    assert twin == chip
+    assert twin.chip_factor == chip.chip_factor
+    assert twin.random_delay_enabled == chip.random_delay_enabled
+    assert twin.save_state() == chip.save_state()
+
+
+@pytest.mark.parametrize("kind", sorted(BYTES_LIKE))
+def test_load_state_owns_its_cells(profile, kind):
+    # The chip must not alias the caller's buffer.
+    chip = worn_chip(profile)
+    data = BYTES_LIKE[kind](chip.save_state())
+    twin = rrsim.load_state(data, profile)
+    twin.apply_stress_pairs([7], 3)
+    assert twin.stress_count(7) == 3
+    assert rrsim.load_state(data, profile) == chip
+
+
+@pytest.mark.parametrize("kind", sorted(BYTES_LIKE))
+def test_load_state_bad_magic(profile, kind):
+    blob = bytearray(worn_chip(profile).save_state())
+    blob[0:5] = b"NOTRR"
+    with pytest.raises(rrsim.FormatError, match="magic"):
+        rrsim.load_state(BYTES_LIKE[kind](bytes(blob)), profile)
+
+
+@pytest.mark.parametrize("kind", sorted(BYTES_LIKE))
+@pytest.mark.parametrize("cut", [3, TEMPERATURE_OFFSET, -1])
+def test_load_state_truncated(profile, kind, cut):
+    blob = worn_chip(profile).save_state()[:cut]
+    with pytest.raises(rrsim.FormatError):
+        rrsim.load_state(BYTES_LIKE[kind](blob), profile)
+
+
+def test_load_state_rejects_trailing_bytes(profile):
+    blob = worn_chip(profile).save_state() + b"\x00"
+    with pytest.raises(rrsim.FormatError, match="payload"):
+        rrsim.load_state(blob, profile)
+
+
+# -- header and wear-field checks --------------------------------------------
+
+@pytest.mark.parametrize("celsius", [500.0, -273.15, math.nan, math.inf])
+def test_load_state_rejects_unrated_temperature(profile, celsius):
+    blob = bytearray(worn_chip(profile).save_state())
+    struct.pack_into("<d", blob, TEMPERATURE_OFFSET, celsius)
+    with pytest.raises(rrsim.FormatError, match="temperature"):
+        rrsim.load_state(bytes(blob), profile)
+
+
+@pytest.mark.parametrize("celsius", [-40.0, 85.0])
+def test_load_state_keeps_rated_extremes(profile, celsius):
+    chip = worn_chip(profile)
+    chip.set_temperature(celsius)
+    assert rrsim.load_state(chip.save_state(), profile).temperature == celsius
+
+
+def test_fresh_chip_reloads_under_profile_rated_above_25c(profile):
+    # Every new chip starts at 25 C, so its own state file must reload
+    # even where the part's rated range excludes 25 C.
+    hot = rrsim.CalibrationProfile(**{
+        **{k: getattr(profile, k) for k in profile.__dataclass_fields__},
+        "temp_rated_min": 40.0, "temp_rated_max": 85.0})
+    chip = fresh_chip(hot, seed=3, addresses=1024)
+    assert rrsim.load_state(chip.save_state(), hot) == chip
+
+
+def profile_with_endurance(profile, endurance_max):
+    return rrsim.CalibrationProfile(**{
+        **{k: getattr(profile, k) for k in profile.__dataclass_fields__},
+        "endurance_max": endurance_max})
+
+
+def test_wear_field_overflow_rejected(profile):
+    # 300 M pairs is 4.8 G units: past the state file's uint32 wear field.
+    wide = profile_with_endurance(profile, 300_000_000)
+    with pytest.raises(rrsim.ConfigurationError, match="uint32"):
+        fresh_chip(wide, seed=1, addresses=1024)
+    blob = fresh_chip(profile, seed=1, addresses=1024).save_state()
+    with pytest.raises(rrsim.ConfigurationError, match="uint32"):
+        rrsim.load_state(blob, wide)
+
+
+def test_wear_field_largest_endurance_round_trips(profile):
+    # The largest endurance whose limit plus one measured pair fits uint32.
+    top = 2**32 // UNITS_PER_PAIR - 2
+    edge = profile_with_endurance(profile, top)
+    chip = fresh_chip(edge, seed=1, addresses=1024)
+    chip.apply_stress_pairs([9], top)
+    chip.measure_trace([9])
+    assert chip.stress_count(9) == top + 1
+    assert rrsim.load_state(chip.save_state(), edge) == chip
+    with pytest.raises(rrsim.ConfigurationError):
+        fresh_chip(profile_with_endurance(profile, top + 1), seed=1,
+                   addresses=1024)
+
+
+# -- allocation budget -------------------------------------------------------
+
+def traced_peak(fn):
+    """Peak traced bytes above those allocated when `fn` starts."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_state_io_allocation_budget(profile):
+    chip = fresh_chip(profile, seed=5, addresses=FULL_CHIP)
+    chip.apply_stress_pairs(np.arange(1000, 9192), 15_000)
+    state, save_peak = traced_peak(chip.save_state)
+    assert save_peak <= 2 * len(state) + 64 * 1024
+    twin, load_extra = traced_peak(lambda: rrsim.load_state(state, profile))
+    assert load_extra <= 9 * FULL_CHIP + 64 * 1024
+    assert twin == chip
