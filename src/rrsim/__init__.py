@@ -7,8 +7,7 @@ from .calibration import (CharacterizationRecord, characterize, fit_profile,
                           min_stress_for_separation, synthesize_records)
 from .codec import (AddressPlan, DecodeResult, EncodeReport, HidingKey,
                     Payload, apply_ecc, best_threshold, decode, encode,
-                    generate_key, kmeans2, load_key, plan_addresses, save_key,
-                    strip_ecc)
+                    generate_key, kmeans2, load_key, save_key, strip_ecc)
 from .errors import (AmbiguousDecodeWarning, BoundsError, ConfigurationError,
                      EncodeError, FitError, FormatError, NotSeparableError,
                      RRSimError, TruncatedRunWarning, UsedCellsWarning,

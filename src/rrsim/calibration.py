@@ -11,7 +11,7 @@ power law.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -196,25 +196,8 @@ def fit_profile(records, template: CalibrationProfile | None = None
 
     if sigmas["reset"] < sigmas["set"]:
         sigmas["reset"] = sigmas["set"]
-    fitted = CalibrationProfile(
-        set_curve=curves["set"],
-        reset_curve=curves["reset"],
-        set_sigma=sigmas["set"],
-        reset_sigma=sigmas["reset"],
-        buffered_command_time=template.buffered_command_time,
-        pair_time=template.pair_time,
-        noop_time=template.noop_time,
-        temp_coeff=template.temp_coeff,
-        jitter_max=template.jitter_max,
-        endurance_rated=template.endurance_rated,
-        endurance_max=template.endurance_max,
-        chip_variation=template.chip_variation,
-        temp_rated_min=template.temp_rated_min,
-        temp_rated_max=template.temp_rated_max,
-        retention_drift=template.retention_drift,
-        bake_drift=template.bake_drift,
-    )
-    return fitted
+    return replace(template, set_curve=curves["set"], reset_curve=curves["reset"],
+                   set_sigma=sigmas["set"], reset_sigma=sigmas["reset"])
 
 
 def min_stress_for_separation(profile: CalibrationProfile, replica_size: int,

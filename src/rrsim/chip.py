@@ -80,13 +80,6 @@ class TimingTrace:
     def __len__(self):
         return len(self.addresses)
 
-    @property
-    def entries(self):
-        """List of (address, set_time, reset_time) in measurement order."""
-        return list(zip(self.addresses.tolist(),
-                        self.set_times.tolist(),
-                        self.reset_times.tolist()))
-
 
 def _increasing_index(addrs: np.ndarray):
     """Index selecting `addrs` if they are strictly increasing, else None.
@@ -127,7 +120,6 @@ class ChipModel:
         self.simulated_clock = 0.0
         self.random_delay_enabled = random_delay_enabled
         self.bake_log: list[tuple[float, float]] = []  # (celsius, seconds), not persisted
-        self._bake_days = 0.0
         # Wear in bit-transition units (16 = one byte set-reset pair).
         self._units = units
         self._values = values
@@ -173,7 +165,6 @@ class ChipModel:
         twin.temperature = self.temperature
         twin.simulated_clock = self.simulated_clock
         twin.bake_log = list(self.bake_log)
-        twin._bake_days = self._bake_days
         return twin
 
     # -- internals ---------------------------------------------------------
@@ -201,8 +192,8 @@ class ChipModel:
         drift = 1.0
         if self.profile.retention_drift:
             drift += self.profile.retention_drift * self.simulated_clock / 86400.0
-        if self.profile.bake_drift and self._bake_days:
-            drift += self.profile.bake_drift * self._bake_days
+        if self.profile.bake_drift and self.bake_log:
+            drift += self.profile.bake_drift * sum(s / 86400.0 for _, s in self.bake_log)
         return self.chip_factor * self.profile.temp_factor(self.temperature) * drift
 
     def _check_wear(self, addrs: np.ndarray, worst: np.ndarray):
@@ -291,11 +282,8 @@ class ChipModel:
         costs applied in bulk.  Stored values are left unchanged (each pair
         ends where it started).  Returns the simulated seconds consumed.
 
-        Strictly increasing addresses (every codec and harness caller)
-        take a sort-free path.  Other input is still honoured: an address
-        listed m times gains m * pairs, is checked against the endurance
-        limit at that total before anything is applied, and its buffer is
-        paid for once.
+        An address listed m times gains m * pairs (see `_add_wear`), and
+        its buffer is paid for once.
         """
         addrs = np.asarray(addresses, dtype=np.int64)
         if pairs < 0:
@@ -303,16 +291,7 @@ class ChipModel:
         if len(addrs) == 0 or pairs == 0:
             return 0.0
         self._check_addresses(addrs)
-        extra = pairs * UNITS_PER_PAIR
-        cells = _increasing_index(addrs)
-        if cells is not None:
-            self._check_wear(addrs, self._units[cells] + extra)
-            self._units[cells] += extra
-        else:
-            _, inverse, counts = np.unique(addrs, return_inverse=True,
-                                           return_counts=True)
-            self._check_wear(addrs, self._units[addrs] + counts[inverse] * extra)
-            np.add.at(self._units, addrs, extra)
+        self._add_wear(addrs, pairs * UNITS_PER_PAIR)
         commands = self._buffer_span_count(addrs)
         elapsed = pairs * commands * self.profile.pair_time
         self.simulated_clock += elapsed
@@ -329,23 +308,32 @@ class ChipModel:
         size = self.geometry.buffer_size
         return int((-(-lengths // size)).sum())
 
+    def _add_wear(self, addrs: np.ndarray, units):
+        """Add `units` (scalar or per listing) to non-empty `addrs`, or
+        nothing if a cell would pass the endurance limit at the sum of its
+        listings.  Strictly increasing addresses skip the sort."""
+        cells = _increasing_index(addrs)
+        if cells is not None:
+            self._check_wear(addrs, self._units[cells] + units)
+            self._units[cells] += units
+            return
+        _, inverse = np.unique(addrs, return_inverse=True)
+        summed = np.zeros(len(addrs), dtype=np.int64)
+        np.add.at(summed, inverse, units)
+        self._check_wear(addrs, self._units[addrs] + summed[inverse])
+        np.add.at(self._units, addrs, units)
+
     def apply_transitions(self, addresses, transitions, seconds: float) -> None:
         """Add raw per-cell bit-transition counts plus a flat time cost.
 
         Backdoor for bulk traffic generators that compute their own toggle
-        statistics; wear limits are still enforced and nothing is applied
-        on failure.
+        statistics; wear limits are still enforced (see `_add_wear`) and
+        nothing is applied on failure.
         """
         addrs = np.asarray(addresses, dtype=np.int64)
-        steps = np.asarray(transitions, dtype=np.int64)
         self._check_addresses(addrs)
-        limit = self.profile.endurance_max * UNITS_PER_PAIR
-        mask = self._units[addrs] + steps > limit
-        if np.any(mask):
-            raise WearOutError(
-                "traffic drove cells past the endurance limit",
-                addresses=np.atleast_1d(addrs[mask]).tolist())
-        np.add.at(self._units, addrs, steps)
+        if len(addrs):
+            self._add_wear(addrs, np.asarray(transitions, dtype=np.int64))
         self.simulated_clock += seconds
 
     def set_values(self, addresses, values) -> None:

@@ -25,8 +25,7 @@ from . import harness
 from .calibration import CharacterizationRecord, characterize, fit_profile
 from .chip import ChipGeometry, load_state, new_chip
 from .codec import Payload, decode, encode, generate_key, load_key, save_key
-from .errors import (ConfigurationError, EncodeError, FormatError,
-                     RRSimError, WearOutError)
+from .errors import ConfigurationError, FormatError, RRSimError, WearOutError
 from .profile import default_profile, load_profile, save_profile
 
 PROFILE_ENV = "RRSIM_PROFILE"
@@ -425,7 +424,7 @@ def main(argv=None) -> int:
     except FormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
-    except (WearOutError, EncodeError) as exc:
+    except WearOutError as exc:
         print(f"wear-out: {exc}", file=sys.stderr)
         return EXIT_WEAR_OUT
     except (RRSimError, OSError) as exc:

@@ -256,11 +256,6 @@ class AddressPlan:
         return sums / counts
 
 
-def plan_addresses(key: HidingKey, geometry: ChipGeometry,
-                   permutation=None) -> AddressPlan:
-    return AddressPlan(key, geometry, permutation)
-
-
 # ---------------------------------------------------------------------------
 # encode
 # ---------------------------------------------------------------------------
@@ -356,6 +351,13 @@ def decode(chip: ChipModel, key: HidingKey, method: str = "kmeans",
     """
     if op not in ("set", "reset"):
         raise ConfigurationError("op must be 'set' or 'reset'")
+    if method == "reference":
+        if reference_addresses is None:
+            raise ConfigurationError("reference method needs reference addresses")
+        reference_addresses = np.asarray(reference_addresses, dtype=np.int64)
+        offsets = reference_addresses - key.base_address
+        if np.any((offsets >= 0) & (offsets < key.footprint)):
+            raise ConfigurationError("reference cells lie inside the footprint")
     plan = AddressPlan(key, chip.geometry, permutation)
     trace = chip.measure_trace(plan.addresses)
     times = trace.set_times if op == "set" else trace.reset_times
@@ -379,9 +381,7 @@ def decode(chip: ChipModel, key: HidingKey, method: str = "kmeans",
         cut = float(threshold)
         bits = (means > cut).astype(np.int64)
     elif method == "reference":
-        if reference_addresses is None:
-            raise ConfigurationError("reference method needs reference addresses")
-        ref = chip.measure_trace(np.asarray(reference_addresses, dtype=np.int64))
+        ref = chip.measure_trace(reference_addresses)
         ref_mean = float((ref.set_times if op == "set" else ref.reset_times).mean())
         ratio = (chip.profile.mean_time(op, key.stress_count)
                  / chip.profile.mean_time(op, 0))

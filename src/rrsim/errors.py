@@ -21,12 +21,8 @@ class WearOutError(RRSimError):
         self.addresses = list(addresses) if addresses is not None else []
 
 
-class EncodeError(RRSimError):
+class EncodeError(WearOutError):
     """Hiding failed; carries the addresses that wore out mid-encode."""
-
-    def __init__(self, msg, addresses=None):
-        super().__init__(msg)
-        self.addresses = list(addresses) if addresses is not None else []
 
 
 class FormatError(RRSimError):

@@ -2,16 +2,16 @@
 
 Every experiment reduces to one question: after some history of wear, do
 the per-bit mean switch times of 0-bits and 1-bits still sit on opposite
-sides of some cut?  The SeparationReport captures that as the full set of
-pairwise gaps between 0-bit and 1-bit means; a positive minimum gap is
-equivalent to the existence of a zero-error threshold.
+sides of some cut?  The SeparationReport captures that as the smallest
+gap between a 1-bit mean and a 0-bit mean; a positive gap is equivalent
+to the existence of a zero-error threshold.
 """
 
 from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -30,14 +30,13 @@ REPORT_COLUMNS = ("sweep_id", "N", "post_stress", "op", "replica_size",
 
 @dataclass
 class SeparationReport:
-    """Pairwise 0-bit/1-bit timing gaps plus best-threshold error counts."""
+    """Smallest 0-bit/1-bit timing gap plus best-threshold error counts."""
 
     op: str
     stress_count: int
     post_stress: int
     replica_size: int
-    distances: np.ndarray
-    min_distance: float
+    min_distance: float     # min(1-bit means) - max(0-bit means)
     bit_error_count: int
     ber: float
     decode_ber: float | None = None   # errors of the actual decoder output
@@ -77,20 +76,17 @@ def separation_report(bit_means, truth, op, stress_count, post_stress=0,
     truth_arr = np.asarray(truth, dtype=np.int64)
     zeros = means[truth_arr == 0]
     ones = means[truth_arr == 1]
-    if len(zeros) and len(ones):
-        distances = (ones[None, :] - zeros[:, None]).ravel()
-        min_distance = float(distances.min())
-    else:
-        distances = np.array([])
-        min_distance = float("inf")
+    # Rounded subtraction is monotone, so this is exactly the smallest
+    # pairwise difference ones[j] - zeros[i].
+    min_distance = (float(ones.min() - zeros.max()) if len(zeros) and len(ones)
+                    else float("inf"))
     errors = min_threshold_errors(means, truth_arr)
     decode_ber = None
     if decode_bits is not None:
         decode_ber = float(np.mean(np.asarray(decode_bits) != truth_arr))
     return SeparationReport(
         op=op, stress_count=stress_count, post_stress=post_stress,
-        replica_size=replica_size, distances=distances,
-        min_distance=min_distance, bit_error_count=errors,
+        replica_size=replica_size, min_distance=min_distance, bit_error_count=errors,
         ber=errors / len(truth_arr), decode_ber=decode_ber,
     )
 
@@ -122,17 +118,6 @@ class UsagePattern:
             raise ConfigurationError("need one toggle probability per bit")
         if any(not 0 < q <= 1 for q in self.toggle_probs):
             raise ConfigurationError("toggle probabilities must be in (0, 1]")
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Per-bit stress weighting, normalized to sum to one."""
-        probs = np.asarray(self.toggle_probs, dtype=float)
-        return probs / probs.sum()
-
-    def draw_masks(self, rng, count: int) -> np.ndarray:
-        """Sample toggle masks the realistic generator would apply."""
-        bits = rng.random((count, 8)) < np.asarray(self.toggle_probs)
-        return (bits << np.arange(8)).sum(axis=1).astype(np.uint8)
 
 
 WORST_CASE = UsagePattern("worst_case_toggle")
@@ -181,7 +166,6 @@ def bake(chip: ChipModel, celsius: float, duration: float) -> None:
     if duration < 0:
         raise ConfigurationError("duration must be >= 0")
     chip.bake_log.append((celsius, duration))
-    chip._bake_days += duration / 86400.0
     chip.simulated_clock += duration
 
 
@@ -206,16 +190,9 @@ def attack_wrong_base(chip: ChipModel, key: HidingKey, truth: Payload,
     }
     if offset_mode not in offsets:
         raise ConfigurationError("offset_mode must be case1, case2 or case3")
-    offset = max(offsets[offset_mode], 1)
-    wrong = HidingKey(
-        base_address=key.base_address + offset,
-        replica_size=key.replica_size,
-        replica_count=key.replica_count,
-        rotations=key.rotations,
-        payload_length=key.payload_length,
-        stress_count=key.stress_count,
-    )
-    return _scored_decode(chip, wrong, truth, op)
+    wrong = replace(key, base_address=key.base_address
+                    + max(offsets[offset_mode], 1))
+    return _scored_decode(chip.clone(), wrong, truth, op)
 
 
 def attack_wrong_key(chip: ChipModel, key: HidingKey, truth: Payload,
@@ -227,26 +204,21 @@ def attack_wrong_key(chip: ChipModel, key: HidingKey, truth: Payload,
                           rng.integers(0, key.payload_length, key.replica_count))
         if rotations != key.rotations:
             break
-    wrong = HidingKey(
-        base_address=key.base_address,
-        replica_size=key.replica_size,
-        replica_count=key.replica_count,
-        rotations=rotations,
-        payload_length=key.payload_length,
-        stress_count=key.stress_count,
-    )
-    return _scored_decode(chip, wrong, truth, op)
+    wrong = replace(key, rotations=rotations)
+    return _scored_decode(chip.clone(), wrong, truth, op)
 
 
-def _scored_decode(chip: ChipModel, key: HidingKey, truth: Payload,
-                   op: str) -> SeparationReport:
-    twin = chip.clone()
+def _scored_decode(chip: ChipModel, key: HidingKey, truth: Payload, op: str,
+                   post_stress: int = 0) -> SeparationReport:
+    """Kmeans-decode `chip` in place, warnings silenced, and score it;
+    callers that must keep the chip's state pass a clone."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        result = decode(twin, key, method="kmeans", op=op)
+        result = decode(chip, key, method="kmeans", op=op)
     return separation_report(
         result.bit_means, truth.bits, op=op, stress_count=key.stress_count,
-        replica_size=key.replica_size, decode_bits=result.payload.bits)
+        post_stress=post_stress, replica_size=key.replica_size,
+        decode_bits=result.payload.bits)
 
 
 # ---------------------------------------------------------------------------
@@ -275,14 +247,7 @@ def sweep_post_hiding(chip_factory, stress_counts, post_grid, op: str = "set",
             twin = chip.clone()
             if s:
                 simulate_usage(twin, WORST_CASE, int(s), region)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                result = decode(twin, key, method="kmeans", op=op)
-            rep = separation_report(
-                result.bit_means, payload.bits, op=op, stress_count=n,
-                post_stress=int(s), replica_size=replica_size,
-                decode_bits=result.payload.bits)
-            reports.append(rep)
+            reports.append(_scored_decode(twin, key, payload, op, int(s)))
     return reports
 
 
@@ -317,12 +282,7 @@ def sweep_replica_size(chip_factory, sizes, op: str = "set",
         chip = chip_factory()
         key = HidingKey(0, int(size), 1, (0,), len(pay), stress_count)
         encode(chip, key, pay)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            result = decode(chip, key, method="kmeans", op=op)
-        reports.append(separation_report(
-            result.bit_means, pay.bits, op=op, stress_count=stress_count,
-            replica_size=int(size), decode_bits=result.payload.bits))
+        reports.append(_scored_decode(chip, key, pay, op))
     return reports
 
 
@@ -358,14 +318,7 @@ def sweep_initial_stress(chip_factory, initial_grid, stress_count: int,
             warnings.simplefilter("ignore", UsedCellsWarning)
             encode(chip, key, payload)
         for op in ops:
-            twin = chip.clone()
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                result = decode(twin, key, method="kmeans", op=op)
-            reports.append(separation_report(
-                result.bit_means, payload.bits, op=op, stress_count=stress_count,
-                post_stress=int(s), replica_size=replica_size,
-                decode_bits=result.payload.bits))
+            reports.append(_scored_decode(chip.clone(), key, payload, op, int(s)))
     return reports
 
 

@@ -135,7 +135,7 @@ class TestMeasureTrace:
         assert len(trace) == 8192
         assert np.all(trace.set_times > 0)
         assert np.all(trace.reset_times > 0)
-        assert trace.entries[0][0] == 0
+        assert trace.addresses[0] == 0
 
     def test_empty_trace(self, chip):
         assert len(chip.measure_trace([])) == 0

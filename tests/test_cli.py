@@ -252,3 +252,15 @@ def test_main_reuses_one_parser(workdir):
     assert cli._parser() is parser
     assert cli.build_parser() is not parser
     assert (workdir / "a.csv").read_bytes() == (workdir / "b.csv").read_bytes()
+
+
+def test_reference_inside_footprint_is_usage_error(workdir, capsys):
+    run(hide_args(workdir, seed=3))
+    capsys.readouterr()
+    code = run(["retrieve", "--key", str(workdir / "key.json"),
+                "--chip", str(workdir / "chip.bin"),
+                "--method", "reference", "--reference-base", "0"])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

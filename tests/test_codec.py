@@ -82,7 +82,7 @@ class TestKeyGeneration:
 class TestAddressPlan:
     def test_block_mode_layout(self, small_geometry):
         key = rrsim.HidingKey(0, 256, 1, (0,), 32, 15_000)
-        plan = rrsim.plan_addresses(key, small_geometry)
+        plan = rrsim.AddressPlan(key, small_geometry)
         assert key.footprint == 8192
         assert np.array_equal(plan.addresses_for_bit(0), np.arange(256))
         assert np.array_equal(plan.addresses_for_bit(31),
@@ -90,7 +90,7 @@ class TestAddressPlan:
 
     def test_zero_rotation_row_is_identity(self, small_geometry):
         key = rrsim.HidingKey(0, 4, 1, (0,), 8, 15_000)
-        plan = rrsim.plan_addresses(key, small_geometry)
+        plan = rrsim.AddressPlan(key, small_geometry)
         for b in range(8):
             assert np.array_equal(plan.addresses_for_bit(b),
                                   np.arange(b * 4, (b + 1) * 4))
@@ -99,14 +99,14 @@ class TestAddressPlan:
         # Payload 10000000 rotated by K=1 is stored as 00000001.
         payload = rrsim.Payload.from_hex("0x80", length=8)
         key = rrsim.HidingKey(0, 1, 1, (1,), 8, 15_000)
-        plan = rrsim.plan_addresses(key, small_geometry)
+        plan = rrsim.AddressPlan(key, small_geometry)
         stored = payload.to_array()[plan.bit_of_address[:8]]
         assert list(stored) == [0, 0, 0, 0, 0, 0, 0, 1]
 
     def test_bits_are_disjoint_and_cover(self, small_geometry):
         key = rrsim.generate_key(8, 32, 4, 6, 15_000, rng_seed=21,
                                  geometry=small_geometry)
-        plan = rrsim.plan_addresses(key, small_geometry)
+        plan = rrsim.AddressPlan(key, small_geometry)
         seen = np.concatenate([plan.addresses_for_bit(b) for b in range(8)])
         assert len(np.unique(seen)) == key.footprint
         assert seen.min() == 32 and seen.max() == 32 + key.footprint - 1
@@ -114,7 +114,7 @@ class TestAddressPlan:
     def test_overflow_rejected(self, small_geometry):
         key = rrsim.HidingKey(16000, 256, 1, (0,), 32, 15_000)
         with pytest.raises(rrsim.ConfigurationError):
-            rrsim.plan_addresses(key, small_geometry)
+            rrsim.AddressPlan(key, small_geometry)
 
 
 class TestRotation:
@@ -151,7 +151,7 @@ class TestEncode:
     def test_wear_split_between_one_and_zero_bits(self, chip):
         key = rrsim.HidingKey(0, 256, 1, (0,), 32, 15_000)
         payload = rrsim.Payload.from_hex("0xECE3038B")
-        plan = rrsim.plan_addresses(key, chip.geometry)
+        plan = rrsim.AddressPlan(key, chip.geometry)
         rrsim.encode(chip, key, payload)
         for b, bit in enumerate(payload.bits):
             pairs = chip.stress_pairs[plan.addresses_for_bit(b)]
@@ -300,7 +300,7 @@ class TestPermutationHook:
     def test_invalid_permutation_rejected(self, profile, small_geometry):
         key = rrsim.HidingKey(0, 16, 1, (0,), 32, 15_000)
         with pytest.raises(rrsim.ConfigurationError):
-            rrsim.plan_addresses(key, small_geometry,
+            rrsim.AddressPlan(key, small_geometry,
                                  permutation=np.zeros(key.footprint, dtype=int))
 
 
@@ -401,3 +401,29 @@ class TestKeyFieldTypes:
     def test_non_object_json_rejected(self, text):
         with pytest.raises(rrsim.FormatError):
             rrsim.HidingKey.from_json(text)
+
+
+class TestReferenceOverlap:
+    """Reference cells must be fresh, so none may lie in the footprint."""
+
+    def hidden(self, profile, base):
+        chip = fresh_chip(profile, seed=3)
+        key = rrsim.HidingKey(base, 256, 1, (0,), 32, 15_000)
+        rrsim.encode(chip, key, rrsim.Payload.from_hex("0xECE3038B"))
+        return chip, key
+
+    @pytest.mark.parametrize("first", [1, 255, 8192 + 255])
+    def test_overlap_rejected_before_measuring(self, profile, first):
+        chip, key = self.hidden(profile, 256)
+        before = chip.clone()
+        with pytest.raises(rrsim.ConfigurationError):
+            rrsim.decode(chip, key, method="reference",
+                         reference_addresses=np.arange(first, first + 256))
+        assert chip == before
+
+    @pytest.mark.parametrize("first", [0, 256 + 8192])
+    def test_cells_next_to_footprint_accepted(self, profile, first):
+        chip, key = self.hidden(profile, 256)
+        result = rrsim.decode(chip, key, method="reference",
+                              reference_addresses=np.arange(first, first + 256))
+        assert result.to_hex() == "0xECE3038B"

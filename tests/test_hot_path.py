@@ -223,3 +223,30 @@ def test_min_threshold_errors_matches_loop_oracle():
         truth = rng.integers(0, 2, n)
         assert harness.min_threshold_errors(means, truth) == \
             min_threshold_errors_oracle(means, truth)
+
+
+def test_repeated_transitions_cannot_pass_endurance(profile):
+    chip = fresh_chip(profile, seed=8, addresses=1024)
+    limit = profile.endurance_max * rrsim.chip.UNITS_PER_PAIR
+    before = chip.clone()
+    # Each listing alone fits, but together they put cell 5 past the limit.
+    with pytest.raises(rrsim.WearOutError) as err:
+        chip.apply_transitions([5, 9, 5], [limit - 10, 7, limit - 10], 1.0)
+    assert err.value.addresses == [5, 5]
+    assert chip == before
+    chip.apply_transitions([5, 9, 5], [limit // 2, 7, limit // 2], 1.0)
+    assert chip.stress_count(5) == profile.endurance_max
+    assert chip.wear_units([9])[0] == 7
+    assert chip.simulated_clock == 1.0
+
+
+def test_increasing_transitions_match_repeated_path(profile):
+    chip = worn_chip(profile)
+    twin = chip.clone()
+    addrs = np.arange(100, 900, 3)
+    steps = rng_for(4).integers(0, 5000, len(addrs))
+    chip.apply_transitions(addrs, steps, 0.5)
+    for a, s in zip(addrs, steps):
+        twin.apply_transitions([a, a], [s, 0], 0.5 / len(addrs))
+    assert np.array_equal(chip.wear_units(np.arange(4096)),
+                          twin.wear_units(np.arange(4096)))

@@ -39,6 +39,10 @@ GOLDEN = {
     "erase.clock": "1234.6658152703612",
     "erase.state": "20add58a4059a023a2be7f8d9b3814e6534c12b820a80d4b71ee0588a2a50e7e",
     "post_hiding.csv": "d0ea1c2dd32681ecd1231ce403d58fc11f3f35561f43cc33eedd62f6db638343",
+    "replica_size.csv": "cb33b0d961f472990f365d20d748e873ff0536bbcb74f13b4a2b22605580dd42",
+    "initial_stress.csv": "f0b8b865611c3ef29b7e3812b9cf874e375fca6b4315e895740bd123111b6183",
+    "attack_wrong_base.csv": "4615ffc8f78a31e64ebf9ecd86d74dbf4352a18806b3f08ab90bf9dcc411370d",
+    "attack_wrong_key.csv": "77a693f5858fcd5be8153575ea0fb474e82a926461eb54f584b8771e42096b23",
 }
 
 
@@ -104,6 +108,59 @@ def test_post_hiding_sweep_csv(profile, tmp_path):
     out = tmp_path / "post.csv"
     harness.write_reports_csv(out, "post-hiding", reports, seed=303)
     assert sha(out.read_bytes()) == GOLDEN["post_hiding.csv"]
+
+
+def csv_digest(tmp_path, sweep_id, reports, seed):
+    out = tmp_path / f"{sweep_id}.csv"
+    harness.write_reports_csv(out, sweep_id, reports, seed=seed)
+    return sha(out.read_bytes())
+
+
+def test_replica_size_sweep_csv(profile, tmp_path):
+    seeds = iter(range(610, 620))
+    reports = harness.sweep_replica_size(
+        lambda: fresh_chip(profile, seed=next(seeds)), [8, 32, 128],
+        op="set", rng_seed=6)
+    assert csv_digest(tmp_path, "replica-size", reports, 6) == \
+        GOLDEN["replica_size.csv"]
+
+
+def test_initial_stress_sweep_csv(profile, tmp_path):
+    seeds = iter(range(710, 720))
+    reports = harness.sweep_initial_stress(
+        lambda: fresh_chip(profile, seed=next(seeds)), [0, 60_000], 15_000,
+        ops=("set", "reset"), replica_size=128)
+    assert [r.op for r in reports] == ["set", "reset"] * 2
+    assert csv_digest(tmp_path, "initial-stress", reports, 7) == \
+        GOLDEN["initial_stress.csv"]
+
+
+def hidden_chip(profile, seed):
+    chip = fresh_chip(profile, seed=seed)
+    key = rrsim.HidingKey(512, 128, 1, (0,), 32, 15_000)
+    truth = rrsim.Payload.from_hex(PAYLOAD)
+    rrsim.encode(chip, key, truth)
+    return chip, key, truth
+
+
+def test_attack_wrong_base_csv(profile, tmp_path):
+    # The attacks decode a clone, so the honest chip is left untouched.
+    chip, key, truth = hidden_chip(profile, 808)
+    state = sha(chip.save_state())
+    reports = [harness.attack_wrong_base(chip, key, truth, offset_mode=case)
+               for case in ("case1", "case2", "case3")]
+    assert sha(chip.save_state()) == state
+    assert csv_digest(tmp_path, "attack-wrong-base", reports, 808) == \
+        GOLDEN["attack_wrong_base.csv"]
+
+
+def test_attack_wrong_key_csv(profile, tmp_path):
+    chip, key, truth = hidden_chip(profile, 909)
+    state = sha(chip.save_state())
+    reports = [harness.attack_wrong_key(chip, key, truth, rng_seed=9, op="reset")]
+    assert sha(chip.save_state()) == state
+    assert csv_digest(tmp_path, "attack-wrong-key", reports, 909) == \
+        GOLDEN["attack_wrong_key.csv"]
 
 
 def test_reencode_warning_text_reads_footprint_wear(profile):
