@@ -327,13 +327,18 @@ class ChipModel:
         """Add raw per-cell bit-transition counts plus a flat time cost.
 
         Backdoor for bulk traffic generators that compute their own toggle
-        statistics; wear limits are still enforced (see `_add_wear`) and
-        nothing is applied on failure.
+        statistics.  Negative counts or seconds are refused, wear limits
+        are still enforced (see `_add_wear`), and nothing is applied on
+        failure.
         """
         addrs = np.asarray(addresses, dtype=np.int64)
         self._check_addresses(addrs)
+        units = np.asarray(transitions, dtype=np.int64)
+        if seconds < 0 or np.any(units < 0):
+            raise ConfigurationError(
+                "transition counts and seconds must not be negative")
         if len(addrs):
-            self._add_wear(addrs, np.asarray(transitions, dtype=np.int64))
+            self._add_wear(addrs, units)
         self.simulated_clock += seconds
 
     def set_values(self, addresses, values) -> None:

@@ -16,7 +16,6 @@ import csv
 import functools
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -37,55 +36,45 @@ EXIT_AMBIGUOUS = 4
 EXIT_WEAR_OUT = 5
 
 
-@dataclass
-class RunConfig:
-    """Resolved common options shared by all commands."""
-
-    profile_path: str | None
-    chip_path: str | None
-    key_path: str | None
-    seed: int
-    temperature: float | None
-    out_dir: str
-
-    def load_profile(self):
-        path = self.profile_path or os.environ.get(PROFILE_ENV)
-        if path:
-            return load_profile(path)
-        return default_profile()
-
-    def resolve(self, path: str) -> str:
-        if os.path.isabs(path) or not self.out_dir:
-            return path
-        return os.path.join(self.out_dir, path)
+def _profile(args):
+    path = args.profile or os.environ.get(PROFILE_ENV)
+    return load_profile(path) if path else default_profile()
 
 
-def _run_config(args) -> RunConfig:
-    cfg = RunConfig(
-        profile_path=getattr(args, "profile", None),
-        chip_path=getattr(args, "chip", None),
-        key_path=getattr(args, "key", None),
-        seed=getattr(args, "seed", 0),
-        temperature=getattr(args, "temperature", None),
-        out_dir=getattr(args, "out_dir", ""),
-    )
-    if cfg.out_dir:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-    return cfg
+def _out(args, path: str) -> str:
+    """An output path, under --out-dir unless it is absolute."""
+    if os.path.isabs(path) or not args.out_dir:
+        return path
+    return os.path.join(args.out_dir, path)
 
 
-def _load_chip(cfg: RunConfig, profile):
-    if not cfg.chip_path:
+def _key(args):
+    if not args.key:
+        raise ConfigurationError("this command needs --key")
+    return load_key(args.key)
+
+
+def _chip(args, profile, address_count=None):
+    """The --chip state file, else a fresh chip of `address_count` cells
+    (commands without one need --chip), at the --temperature if given."""
+    path = getattr(args, "chip", None)  # characterize has no --chip
+    if path:
+        try:
+            with open(path, "rb") as fh:
+                # NumPy asks the kernel for huge pages on buffers of 4 MB and
+                # up; a bytes object of that size faults in 4 KiB at a time.
+                chip = load_state(np.fromfile(fh, dtype=np.uint8), profile)
+        except OSError as exc:
+            raise FormatError(f"cannot read chip state: {exc}") from exc
+    elif address_count is None:
         raise ConfigurationError("this command needs --chip")
-    try:
-        with open(cfg.chip_path, "rb") as fh:
-            # NumPy asks the kernel for huge pages on buffers of 4 MB and
-            # up; a bytes object of that size faults in 4 KiB at a time.
-            chip = load_state(np.fromfile(fh, dtype=np.uint8), profile)
-    except OSError as exc:
-        raise FormatError(f"cannot read chip state: {exc}") from exc
-    if cfg.temperature is not None and cfg.temperature != chip.temperature:
-        chip.set_temperature(cfg.temperature)
+    else:
+        chip = new_chip(ChipGeometry(address_count=address_count), profile,
+                        args.seed)
+    # A fresh chip checks any requested temperature, a loaded one a change.
+    if args.temperature is not None and (
+            not path or args.temperature != chip.temperature):
+        chip.set_temperature(args.temperature)
     return chip
 
 
@@ -128,7 +117,6 @@ def write_records_csv(path, records, seed: int) -> None:
 
 
 def read_records_csv(path) -> list[CharacterizationRecord]:
-    records = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
             rows = [ln for ln in fh if not ln.startswith("#")]
@@ -137,33 +125,32 @@ def read_records_csv(path) -> list[CharacterizationRecord]:
     reader = csv.DictReader(rows)
     if reader.fieldnames is None or tuple(reader.fieldnames) != RECORD_COLUMNS:
         raise FormatError("not a characterization records CSV")
-    for row in reader:
-        records.append(CharacterizationRecord(
+    try:
+        return [CharacterizationRecord(
             stress_level=int(row["stress_level"]),
             set_min=float(row["set_min"]), set_mean=float(row["set_mean"]),
             set_max=float(row["set_max"]), reset_min=float(row["reset_min"]),
             reset_mean=float(row["reset_mean"]), reset_max=float(row["reset_max"]),
             replica_size=int(row["replica_size"]),
-            group_count=int(row["group_count"])))
-    return records
+            group_count=int(row["group_count"])) for row in reader]
+    except (TypeError, ValueError, csv.Error) as exc:
+        # A short row fills its missing fields with None (TypeError).
+        raise FormatError(
+            f"malformed records row {reader.line_num}: {exc}") from exc
 
 
-def cmd_characterize(args) -> int:
-    cfg = _run_config(args)
-    profile = cfg.load_profile()
-    geometry = ChipGeometry(address_count=max(args.addresses, 256))
-    chip = new_chip(geometry, profile, cfg.seed)
-    if cfg.temperature is not None:
-        chip.set_temperature(cfg.temperature)
-    addrs = np.arange(args.addresses)
-    records = characterize(chip, addrs, args.max_pairs, args.interval)
-    write_records_csv(cfg.resolve(args.out), records, cfg.seed)
-    print(f"wrote {len(records)} records to {cfg.resolve(args.out)}")
+def cmd_characterize(args, profile) -> int:
+    chip = _chip(args, profile, address_count=max(args.addresses, 256))
+    records = characterize(chip, np.arange(args.addresses), args.max_pairs,
+                           args.interval)
+    out = _out(args, args.out)
+    write_records_csv(out, records, args.seed)
+    print(f"wrote {len(records)} records to {out}")
     if args.profile_out:
         fitted = fit_profile(records, template=profile)
-        save_profile(fitted, cfg.resolve(args.profile_out))
-        print(f"fitted profile written to {cfg.resolve(args.profile_out)}")
-    print(f"seed: {cfg.seed}")
+        out = _out(args, args.profile_out)
+        save_profile(fitted, out)
+        print(f"fitted profile written to {out}")
     return EXIT_OK
 
 
@@ -171,25 +158,18 @@ def cmd_characterize(args) -> int:
 # hide / retrieve
 # ---------------------------------------------------------------------------
 
-def cmd_hide(args) -> int:
-    cfg = _run_config(args)
-    profile = cfg.load_profile()
+def cmd_hide(args, profile) -> int:
     if not args.payload:
         raise ConfigurationError("payload must not be empty")
     payload = Payload.from_hex(args.payload, length=args.payload_bits)
-    if cfg.chip_path:
-        chip = _load_chip(cfg, profile)
-    else:
-        geometry = ChipGeometry(address_count=args.address_count)
-        chip = new_chip(geometry, profile, cfg.seed)
-        if cfg.temperature is not None:
-            chip.set_temperature(cfg.temperature)
+    chip = _chip(args, profile, address_count=args.address_count)
     key = generate_key(len(payload), args.base, args.replica_size,
-                       args.replicas, args.n_stress, cfg.seed,
+                       args.replicas, args.n_stress, args.seed,
                        geometry=chip.geometry)
     report = encode(chip, key, payload)
-    save_key(key, cfg.resolve(args.key_out))
-    with open(cfg.resolve(args.chip_out), "wb") as fh:
+    key_out, chip_out = _out(args, args.key_out), _out(args, args.chip_out)
+    save_key(key, key_out)
+    with open(chip_out, "wb") as fh:
         fh.write(chip.save_state())
     pair_time = Fraction(repr(profile.pair_time))
     model_time = harness.encode_time(key.stress_count, len(payload), pair_time)
@@ -200,22 +180,15 @@ def cmd_hide(args) -> int:
           f"({float(rate):g} bit/min)")
     print(f"chip busy time: {report.chip_busy_seconds:g} s")
     print(f"endurance cost: {float(100 * cost):g}% of rated pairs")
-    print(f"key: {cfg.resolve(args.key_out)}  chip: {cfg.resolve(args.chip_out)}")
-    print(f"seed: {cfg.seed}")
+    print(f"key: {key_out}  chip: {chip_out}")
     return EXIT_OK
 
 
-def cmd_retrieve(args) -> int:
-    cfg = _run_config(args)
-    profile = cfg.load_profile()
-    if not cfg.key_path:
-        raise ConfigurationError("this command needs --key")
-    key = load_key(cfg.key_path)
-    chip = _load_chip(cfg, profile)
-
-    method = args.method
-    threshold = None
-    reference = None
+def cmd_retrieve(args, profile) -> int:
+    key = _key(args)
+    chip = _chip(args, profile)
+    # decode checks the method name; only the CLI's spelling is parsed here.
+    method, threshold, reference = args.method, None, None
     if method.startswith("threshold:"):
         try:
             threshold = float(method.split(":", 1)[1])
@@ -227,14 +200,11 @@ def cmd_retrieve(args) -> int:
         if base is None:
             base = key.base_address + key.footprint
         reference = np.arange(base, base + args.reference_count)
-    elif method != "kmeans":
-        raise ConfigurationError(
-            "method must be kmeans, threshold:VALUE or reference")
 
     result = decode(chip, key, method=method, threshold=threshold,
                     reference_addresses=reference, op=args.op)
     if args.chip_out:
-        with open(cfg.resolve(args.chip_out), "wb") as fh:
+        with open(_out(args, args.chip_out), "wb") as fh:
             fh.write(chip.save_state())
     print(f"payload: {result.to_hex()}")
     print(f"op: {result.op}  method: {args.method}")
@@ -243,7 +213,6 @@ def cmd_retrieve(args) -> int:
     for i, (bit, mean) in enumerate(zip(result.payload.bits, result.bit_means)):
         margin = mean - result.threshold_used
         print(f"bit {i:3d}: {bit}  mean={mean:.6e} s  margin={margin:+.6e} s")
-    print(f"seed: {cfg.seed}")
     if result.ambiguous:
         print("warning: cluster separation within noise floor; "
               "decode is ambiguous", file=sys.stderr)
@@ -255,67 +224,53 @@ def cmd_retrieve(args) -> int:
 # attack / sweep
 # ---------------------------------------------------------------------------
 
-def cmd_attack(args) -> int:
-    cfg = _run_config(args)
-    profile = cfg.load_profile()
-    if not cfg.key_path:
-        raise ConfigurationError("this command needs --key")
-    key = load_key(cfg.key_path)
-    chip = _load_chip(cfg, profile)
+def cmd_attack(args, profile) -> int:
+    key = _key(args)
+    chip = _chip(args, profile)
     truth = Payload.from_hex(args.payload, length=key.payload_length)
     if args.kind == "wrong-base":
         report = harness.attack_wrong_base(chip, key, truth,
                                            offset_mode=args.case, op=args.op)
         sweep_id = f"attack-wrong-base-{args.case}"
-    elif args.kind == "wrong-key":
-        report = harness.attack_wrong_key(chip, key, truth,
-                                          rng_seed=cfg.seed, op=args.op)
-        sweep_id = "attack-wrong-key"
     else:
-        raise ConfigurationError("attack kind must be wrong-base or wrong-key")
-    harness.write_reports_csv(cfg.resolve(args.out), sweep_id, [report],
-                              seed=cfg.seed)
+        report = harness.attack_wrong_key(chip, key, truth,
+                                          rng_seed=args.seed, op=args.op)
+        sweep_id = "attack-wrong-key"
+    out = _out(args, args.out)
+    harness.write_reports_csv(out, sweep_id, [report], seed=args.seed)
     sep = "separable" if report.separable else "no clean separation"
     print(f"{sweep_id}: min distance {report.min_distance:.3e} s ({sep}), "
           f"best-threshold BER {report.ber:.3f}")
-    print(f"report: {cfg.resolve(args.out)}")
-    print(f"seed: {cfg.seed}")
+    print(f"report: {out}")
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    cfg = _run_config(args)
-    profile = cfg.load_profile()
+def cmd_sweep(args, profile) -> int:
     geometry = ChipGeometry(address_count=args.address_count)
-    seeds = iter(range(cfg.seed, cfg.seed + 1_000_000))
+    seeds = iter(range(args.seed, args.seed + 1_000_000))
 
     def factory():
         return new_chip(geometry, profile, next(seeds))
 
+    n_list = []
     if args.kind == "post-hiding":
-        reports = harness.sweep_post_hiding(
-            factory, _grid(args.n_list), _grid(args.grid), op=args.op)
-        sweep_id = f"post-hiding-{args.op}"
+        n_list = _grid(args.n_list)
+        reports = harness.sweep_post_hiding(factory, n_list, _grid(args.grid),
+                                            op=args.op)
     elif args.kind == "replica-size":
         reports = harness.sweep_replica_size(
             factory, _grid(args.sizes), op=args.op,
-            stress_count=args.n_stress, rng_seed=cfg.seed)
-        sweep_id = f"replica-size-{args.op}"
-    elif args.kind == "initial-stress":
+            stress_count=args.n_stress, rng_seed=args.seed)
+    else:
         reports = harness.sweep_initial_stress(
             factory, _grid(args.grid), args.n_stress, ops=(args.op,))
-        sweep_id = f"initial-stress-{args.op}"
-    else:
-        raise ConfigurationError(
-            "sweep kind must be post-hiding, replica-size or initial-stress")
-    harness.write_reports_csv(cfg.resolve(args.out), sweep_id, reports,
-                              seed=cfg.seed)
-    print(f"{sweep_id}: {len(reports)} grid points -> {cfg.resolve(args.out)}")
-    if args.kind == "post-hiding":
-        for n in _grid(args.n_list):
-            tol = harness.stress_tolerance(reports, n)
-            print(f"  N={n}: zero-error tolerance {tol}")
-    print(f"seed: {cfg.seed}")
+    sweep_id = f"{args.kind}-{args.op}"
+    out = _out(args, args.out)
+    harness.write_reports_csv(out, sweep_id, reports, seed=args.seed)
+    print(f"{sweep_id}: {len(reports)} grid points -> {out}")
+    for n in n_list:
+        print(f"  N={n}: zero-error tolerance "
+              f"{harness.stress_tolerance(reports, n)}")
     return EXIT_OK
 
 
@@ -417,7 +372,11 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.out_dir:
+            os.makedirs(args.out_dir, exist_ok=True)
+        code = args.func(args, _profile(args))
+        print(f"seed: {args.seed}")
+        return code
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -351,6 +351,10 @@ def decode(chip: ChipModel, key: HidingKey, method: str = "kmeans",
     """
     if op not in ("set", "reset"):
         raise ConfigurationError("op must be 'set' or 'reset'")
+    if method not in ("kmeans", "threshold", "reference"):
+        raise ConfigurationError(f"unknown decode method {method!r}")
+    if method == "threshold" and threshold is None:
+        raise ConfigurationError("threshold method needs a threshold value")
     if method == "reference":
         if reference_addresses is None:
             raise ConfigurationError("reference method needs reference addresses")
@@ -376,19 +380,15 @@ def decode(chip: ChipModel, key: HidingKey, method: str = "kmeans",
                 "cluster separation is within the noise floor; decoded bits "
                 "are a best guess", AmbiguousDecodeWarning)
     elif method == "threshold":
-        if threshold is None:
-            raise ConfigurationError("threshold method needs a threshold value")
         cut = float(threshold)
         bits = (means > cut).astype(np.int64)
-    elif method == "reference":
+    else:
         ref = chip.measure_trace(reference_addresses)
         ref_mean = float((ref.set_times if op == "set" else ref.reset_times).mean())
         ratio = (chip.profile.mean_time(op, key.stress_count)
                  / chip.profile.mean_time(op, 0))
         cut = 0.5 * (ref_mean + ref_mean * ratio)
         bits = (means > cut).astype(np.int64)
-    else:
-        raise ConfigurationError(f"unknown decode method {method!r}")
 
     return DecodeResult(
         payload=Payload(tuple(int(b) for b in bits)),

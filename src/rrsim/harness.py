@@ -327,15 +327,11 @@ def sweep_initial_stress(chip_factory, initial_grid, stress_count: int,
 # ---------------------------------------------------------------------------
 
 def _fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
     if isinstance(x, float):
         # Via the shortest decimal repr, so 0.01 means exactly 1/100.
         return Fraction(repr(x))
+    if isinstance(x, (int, str, Fraction)):
+        return Fraction(x)
     raise ConfigurationError(f"cannot interpret {x!r} as an exact number")
 
 

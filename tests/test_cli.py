@@ -1,7 +1,12 @@
 """End-to-end command-line behaviour, exit codes, reproducibility."""
 
+import contextlib
+import hashlib
+import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -127,6 +132,18 @@ class TestCharacterize:
         first = (workdir / "rec.csv").read_bytes()
         run(args)
         assert (workdir / "rec.csv").read_bytes() == first
+
+
+class TestRecordsCsv:
+    HEADER = ",".join(cli.RECORD_COLUMNS)
+
+    @pytest.mark.parametrize("row", [
+        "0,1e-4,1e-4,x,2e-4,2e-4,2e-4,256,8",   # non-numeric field
+        "0,1e-4,1e-4,1e-4,2e-4,2e-4"])         # short row
+    def test_malformed_row_is_format_error(self, workdir, row):
+        (workdir / "rec.csv").write_text(f"# rrsim\n{self.HEADER}\n{row}\n")
+        with pytest.raises(rrsim.FormatError):
+            cli.read_records_csv(workdir / "rec.csv")
 
 
 class TestAttackAndSweep:
@@ -264,3 +281,177 @@ def test_reference_inside_footprint_is_usage_error(workdir, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# Pinned command output.  The digests below were recorded before the command
+# plumbing was rewritten; every path is relative, so stdout does not depend
+# on the temporary directory.
+# ---------------------------------------------------------------------------
+
+def captured(args):
+    """(exit code, stdout, stderr) of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(args)
+    return code, out.getvalue(), err.getvalue()
+
+
+REL_HIDE = ["hide", "--payload", "0xECE3038B", "--key-out", "key.json",
+            "--chip-out", "chip.bin", "--address-count", "16384", "--seed", "42"]
+
+PINNED = {
+    # name: (argv, output files, sha256 of stdout + every output file)
+    "characterize": (
+        ["characterize", "--addresses", "2048", "--max-pairs", "1000000",
+         "--interval", "100000", "--out", "rec.csv", "--profile-out",
+         "fit.json", "--seed", "5"], ("rec.csv", "fit.json"),
+        "b6393a69b814188003d3930cc2d7b39e34ca88e72a742d721607877de2486470"),
+    "hide": (
+        REL_HIDE, ("key.json", "chip.bin"),
+        "18804c8bcf5e94ed272cb157c421d4199a660490bca197d10570b5206b3702ce"),
+    "hide-40C": (
+        REL_HIDE + ["--temperature", "40"], ("key.json", "chip.bin"),
+        "afa0d1c5ba8e81b821435048086a5cc02e06804ffb08540575aeef6f3ed1b78d"),
+    "retrieve-40C": (
+        ["retrieve", "--key", "key.json", "--chip", "chip.bin",
+         "--temperature", "40", "--chip-out", "after.bin"], ("after.bin",),
+        "3040ea3c85ab456f24fe8733979a9c533fdabd7e955f49c687082395b6c2858a"),
+    "attack-wrong-base": (
+        ["attack", "--kind", "wrong-base", "--case", "case2", "--key",
+         "key.json", "--chip", "chip.bin", "--payload", "0xECE3038B",
+         "--out", "attack.csv", "--seed", "2"], ("attack.csv",),
+        "0a643df76f27cee2a2c97ab3710ebbeff9e5013e97c93d3b3379c7d229a7dc6e"),
+    "attack-wrong-key": (
+        ["attack", "--kind", "wrong-key", "--op", "reset", "--key",
+         "key.json", "--chip", "chip.bin", "--payload", "0xECE3038B",
+         "--out", "attack.csv", "--seed", "2"], ("attack.csv",),
+        "8057f8076ff2a36565f4196e56fcf5ed3118c1de993602586a38d6581d9cafb7"),
+    "sweep-post-hiding": (
+        ["sweep", "--kind", "post-hiding", "--n-list", "15000,30000",
+         "--grid", "0:40000:20000", "--out", "s.csv",
+         "--address-count", "16384", "--seed", "11"], ("s.csv",),
+        "91216661266cc389e7559dec97970e300947898c58347143da5e845266e637f5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_output(name, workdir):
+    argv, files, expected = PINNED[name]
+    if "--chip" in argv:
+        assert cli.main(REL_HIDE) == cli.EXIT_OK
+    code, out, err = captured(argv)
+    assert (code, err) == (cli.EXIT_OK, "")
+    seed = argv[argv.index("--seed") + 1] if "--seed" in argv else "0"
+    assert out.endswith(f"seed: {seed}\n")
+    digest = hashlib.sha256(out.encode())
+    for f in files:
+        digest.update((workdir / f).read_bytes())
+    assert digest.hexdigest() == expected, out
+
+
+class TestOutDir:
+    """--out-dir holds relative output paths; inputs and absolute paths are
+    taken as given."""
+
+    def test_hide_retrieve_into_new_directories(self, workdir):
+        code, out, _ = captured([*REL_HIDE, "--out-dir", "a/b"])
+        assert code == cli.EXIT_OK
+        assert "key: a/b/key.json  chip: a/b/chip.bin\n" in out
+        assert sorted(os.listdir(workdir / "a" / "b")) == ["chip.bin", "key.json"]
+        code, out, _ = captured(["retrieve", "--key", "a/b/key.json",
+                                 "--chip", "a/b/chip.bin", "--out-dir", "c",
+                                 "--chip-out", "after.bin"])
+        assert code == cli.EXIT_OK
+        assert "payload: 0xECE3038B" in out
+        assert os.listdir(workdir / "c") == ["after.bin"]
+
+    def test_absolute_output_ignores_out_dir(self, workdir):
+        target = str(workdir / "abs.csv")
+        code, out, _ = captured(["sweep", "--kind", "initial-stress",
+                                 "--grid", "", "--out", target,
+                                 "--out-dir", "d", "--address-count", "16384"])
+        assert code == cli.EXIT_OK
+        assert f"-> {target}\n" in out
+        assert (workdir / "abs.csv").exists()
+        assert os.listdir(workdir / "d") == []
+
+    def test_characterize_and_attack_outputs(self, workdir):
+        code, out, _ = captured(["characterize", "--addresses", "512",
+                                 "--max-pairs", "0", "--interval", "1000",
+                                 "--out", "rec.csv", "--out-dir", "e"])
+        assert code == cli.EXIT_OK
+        assert out.startswith("wrote 1 records to e/rec.csv\n")
+        assert run(REL_HIDE) == cli.EXIT_OK
+        code, out, _ = captured(["attack", "--kind", "wrong-key", "--key",
+                                 "key.json", "--chip", "chip.bin",
+                                 "--payload", "0xECE3038B", "--out", "a.csv",
+                                 "--out-dir", "e"])
+        assert code == cli.EXIT_OK
+        assert "report: e/a.csv\n" in out
+        assert sorted(os.listdir(workdir / "e")) == ["a.csv", "rec.csv"]
+
+
+class TestTemperature:
+    def test_fresh_and_loaded_chip_take_the_flag(self, workdir):
+        for argv, state in ((REL_HIDE + ["--temperature", "40"], "chip.bin"),
+                            (["retrieve", "--key", "key.json", "--chip",
+                              "chip.bin", "--chip-out", "after.bin"],
+                             "after.bin")):
+            assert run(argv) == cli.EXIT_OK
+            assert rrsim.load_state((workdir / state).read_bytes()
+                                    ).temperature == 40.0
+
+    def test_same_value_is_checked_on_a_fresh_chip_only(self, workdir, profile):
+        # A chip starts at 25 C; under a profile rated from 30 C, asking for
+        # 25 C is refused for a new chip but is no change for a loaded one.
+        assert run(REL_HIDE) == cli.EXIT_OK
+        warm = rrsim.CalibrationProfile(**{
+            **{k: getattr(profile, k) for k in profile.__dataclass_fields__},
+            "temp_rated_min": 30.0})
+        rrsim.save_profile(warm, workdir / "warm.json")
+        flags = ["--profile", "warm.json", "--temperature", "25"]
+        assert run(["retrieve", "--key", "key.json", "--chip", "chip.bin",
+                    *flags]) == cli.EXIT_OK
+        code, _, err = captured([*REL_HIDE, *flags])
+        assert code == cli.EXIT_USAGE
+        assert err.startswith("error: 25.0 C outside rated range")
+
+
+@pytest.mark.parametrize("command", ["retrieve", "attack"])
+@pytest.mark.parametrize("missing", ["--key", "--chip"])
+def test_missing_key_or_chip_is_usage_error(command, missing, workdir):
+    assert run(REL_HIDE) == cli.EXIT_OK
+    argv = [command, "--key", "key.json", "--chip", "chip.bin"]
+    if command == "attack":
+        argv += ["--kind", "wrong-key", "--payload", "0xECE3038B",
+                 "--out", "a.csv"]
+    i = argv.index(missing)
+    del argv[i:i + 2]
+    code, out, err = captured(argv)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err == f"error: this command needs {missing}\n"
+
+
+def test_module_entry_point(workdir):
+    """`python -m rrsim.cli` in a child process: exit codes, no traceback."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.dirname(os.path.dirname(rrsim.__file__)),
+         os.environ.get("PYTHONPATH", "")])}
+
+    def child(*argv):
+        return subprocess.run([sys.executable, "-m", "rrsim.cli", *argv],
+                              cwd=workdir, env=env, capture_output=True,
+                              text=True, timeout=120)
+
+    hide = child(*REL_HIDE)
+    assert (hide.returncode, hide.stderr) == (cli.EXIT_OK, "")
+    ok = child("retrieve", "--key", "key.json", "--chip", "chip.bin")
+    assert ok.returncode == cli.EXIT_OK
+    assert "payload: 0xECE3038B\n" in ok.stdout
+    (workdir / "chip.bin").write_bytes(b"garbage")
+    bad = child("retrieve", "--key", "key.json", "--chip", "chip.bin")
+    assert bad.returncode == cli.EXIT_FORMAT
+    assert bad.stderr.startswith("format error: ")
+    assert "Traceback" not in bad.stderr

@@ -427,3 +427,19 @@ class TestReferenceOverlap:
         result = rrsim.decode(chip, key, method="reference",
                               reference_addresses=np.arange(first, first + 256))
         assert result.to_hex() == "0xECE3038B"
+
+
+class TestDecodeArgumentsCheckedFirst:
+    """A refused decode leaves the chip as it was: no wear, no clock."""
+
+    @pytest.mark.parametrize("kwargs", [
+        {"method": "magic"}, {"method": "threshold"},
+        {"method": "reference"}, {"op": "both"}])
+    def test_refused_before_measuring(self, profile, kwargs):
+        chip = fresh_chip(profile, seed=3)
+        key = rrsim.HidingKey(0, 256, 1, (0,), 32, 15_000)
+        rrsim.encode(chip, key, rrsim.Payload.from_hex("0xECE3038B"))
+        before = chip.clone()
+        with pytest.raises(rrsim.ConfigurationError):
+            rrsim.decode(chip, key, **kwargs)
+        assert chip == before

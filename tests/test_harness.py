@@ -295,6 +295,17 @@ class TestCalculators:
     def test_float_inputs_go_through_decimal_repr(self):
         assert harness.encode_time(15_000, 32, 0.01) == 4800
 
+    @pytest.mark.parametrize("value, exact", [
+        (3, Fraction(3)), ("1/100", Fraction(1, 100)),
+        (Fraction(2, 3), Fraction(2, 3)), (0.01, Fraction(1, 100))])
+    def test_exact_number_kinds(self, value, exact):
+        assert harness.endurance_cost(value, 1) == exact
+
+    @pytest.mark.parametrize("value", [np.int64(3), None, 1j])
+    def test_other_number_kinds_refused(self, value):
+        with pytest.raises(rrsim.ConfigurationError):
+            harness.endurance_cost(value, 1)
+
     def test_separation_report_fields(self):
         means = np.array([1.0, 1.1, 2.0, 2.2])
         truth = (0, 0, 1, 1)

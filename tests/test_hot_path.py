@@ -240,6 +240,19 @@ def test_repeated_transitions_cannot_pass_endurance(profile):
     assert chip.simulated_clock == 1.0
 
 
+@pytest.mark.parametrize("addrs, counts, seconds", [
+    ([5], [-160], 0.0), ([5, 9], [32, -1], 1.0), ([5], [32], -1.0),
+    ([], [], -0.5)])
+def test_negative_transitions_refused(profile, addrs, counts, seconds):
+    chip = fresh_chip(profile, seed=8, addresses=1024)
+    chip.apply_transitions([5, 9], [48, 16], 2.0)
+    before = chip.clone()
+    with pytest.raises(rrsim.ConfigurationError):
+        chip.apply_transitions(addrs, counts, seconds)
+    assert chip == before
+    assert chip.stress_count(5) == 3
+
+
 def test_increasing_transitions_match_repeated_path(profile):
     chip = worn_chip(profile)
     twin = chip.clone()
