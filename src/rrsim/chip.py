@@ -81,19 +81,6 @@ class TimingTrace:
         return len(self.addresses)
 
 
-def _increasing_index(addrs: np.ndarray):
-    """Index selecting `addrs` if they are strictly increasing, else None.
-
-    A contiguous run becomes a slice, which reads and writes the cell
-    arrays without a gather or scatter.  `addrs` must be non-empty.
-    """
-    if not np.all(addrs[1:] > addrs[:-1]):
-        return None
-    if addrs[-1] - addrs[0] == len(addrs) - 1:
-        return slice(int(addrs[0]), int(addrs[-1]) + 1)
-    return addrs
-
-
 class ChipModel:
     """One simulated chip; mutated in place by exactly one caller at a time."""
 
@@ -142,10 +129,6 @@ class ChipModel:
         self._check_range(address, 1)
         return int(self._units[address]) // UNITS_PER_PAIR
 
-    def stored_value(self, address: int) -> int:
-        self._check_range(address, 1)
-        return int(self._values[address])
-
     def __eq__(self, other):
         if not isinstance(other, ChipModel):
             return NotImplemented
@@ -175,9 +158,26 @@ class ChipModel:
                 f"addresses [{base}, {base + count}) outside chip of "
                 f"{self.geometry.address_count}")
 
-    def _check_addresses(self, addrs: np.ndarray):
-        if len(addrs) and (addrs.min() < 0 or addrs.max() >= self.geometry.address_count):
-            raise BoundsError("address outside chip")
+    def _index(self, addresses):
+        """The address list as int64 and the index selecting its cells.
+
+        Refuses a list that is not strictly increasing (ConfigurationError)
+        or that leaves the chip (BoundsError).  A contiguous run is indexed
+        by a slice, which reads and writes the cell arrays without a gather
+        or scatter.
+        """
+        addrs = np.asarray(addresses, dtype=np.int64)
+        if len(addrs) == 0:
+            return addrs, addrs
+        if not np.all(addrs[1:] > addrs[:-1]):
+            raise ConfigurationError("addresses must be strictly increasing")
+        first, last = int(addrs[0]), int(addrs[-1])
+        if first < 0 or last >= self.geometry.address_count:
+            raise BoundsError(f"addresses [{first}, {last}] outside chip of "
+                              f"{self.geometry.address_count}")
+        if last - first == len(addrs) - 1:
+            return addrs, slice(first, last + 1)
+        return addrs, addrs
 
     def _rng(self, tag: bytes, *parts) -> np.random.Generator:
         h = hashlib.blake2b(digest_size=16)
@@ -281,81 +281,65 @@ class ChipModel:
         buffer windows, with only the wear accounting and the flat command
         costs applied in bulk.  Stored values are left unchanged (each pair
         ends where it started).  Returns the simulated seconds consumed.
-
-        An address listed m times gains m * pairs (see `_add_wear`), and
-        its buffer is paid for once.
+        Addresses must be strictly increasing and inside the chip.
         """
-        addrs = np.asarray(addresses, dtype=np.int64)
+        addrs, cells = self._index(addresses)
         if pairs < 0:
             raise ConfigurationError("pairs must be >= 0")
         if len(addrs) == 0 or pairs == 0:
             return 0.0
-        self._check_addresses(addrs)
-        self._add_wear(addrs, pairs * UNITS_PER_PAIR)
+        self._add_wear(addrs, cells, pairs * UNITS_PER_PAIR)
         commands = self._buffer_span_count(addrs)
         elapsed = pairs * commands * self.profile.pair_time
         self.simulated_clock += elapsed
         return elapsed
 
     def _buffer_span_count(self, addrs: np.ndarray) -> int:
-        """Buffered commands needed to cover the distinct addresses once:
+        """Buffered commands needed to cover strictly increasing `addrs`:
         ceil(length / buffer_size) per run of consecutive addresses."""
         gaps = np.diff(addrs)
-        if not np.all(gaps > 0):
-            gaps = np.diff(np.unique(addrs))
         run_ends = np.append(np.flatnonzero(gaps != 1), len(gaps))
         lengths = np.diff(run_ends, prepend=-1)
         size = self.geometry.buffer_size
         return int((-(-lengths // size)).sum())
 
-    def _add_wear(self, addrs: np.ndarray, units):
-        """Add `units` (scalar or per listing) to non-empty `addrs`, or
-        nothing if a cell would pass the endurance limit at the sum of its
-        listings.  Strictly increasing addresses skip the sort."""
-        cells = _increasing_index(addrs)
-        if cells is not None:
-            self._check_wear(addrs, self._units[cells] + units)
-            self._units[cells] += units
-            return
-        _, inverse = np.unique(addrs, return_inverse=True)
-        summed = np.zeros(len(addrs), dtype=np.int64)
-        np.add.at(summed, inverse, units)
-        self._check_wear(addrs, self._units[addrs] + summed[inverse])
-        np.add.at(self._units, addrs, units)
+    def _add_wear(self, addrs: np.ndarray, cells, units):
+        """Add `units` (scalar or per address) to the cells `_index` gave,
+        or nothing if one would pass the endurance limit."""
+        self._check_wear(addrs, self._units[cells] + units)
+        self._units[cells] += units
 
     def apply_transitions(self, addresses, transitions, seconds: float) -> None:
         """Add raw per-cell bit-transition counts plus a flat time cost.
 
         Backdoor for bulk traffic generators that compute their own toggle
-        statistics.  Negative counts or seconds are refused, wear limits
-        are still enforced (see `_add_wear`), and nothing is applied on
-        failure.
+        statistics.  Addresses must be strictly increasing and inside the
+        chip, negative counts or seconds are refused, wear limits are still
+        enforced, and nothing is applied on failure.
         """
-        addrs = np.asarray(addresses, dtype=np.int64)
-        self._check_addresses(addrs)
+        addrs, cells = self._index(addresses)
         units = np.asarray(transitions, dtype=np.int64)
         if seconds < 0 or np.any(units < 0):
             raise ConfigurationError(
                 "transition counts and seconds must not be negative")
-        if len(addrs):
-            self._add_wear(addrs, units)
+        self._add_wear(addrs, cells, units)
         self.simulated_clock += seconds
 
     def set_values(self, addresses, values) -> None:
-        """Overwrite stored bytes without timing or wear (traffic bookkeeping)."""
-        addrs = np.asarray(addresses, dtype=np.int64)
-        self._check_addresses(addrs)
-        self._values[addrs] = np.asarray(values, dtype=np.uint8)
+        """Overwrite stored bytes without timing or wear (traffic
+        bookkeeping) at strictly increasing addresses inside the chip."""
+        _, cells = self._index(addresses)
+        self._values[cells] = np.asarray(values, dtype=np.uint8)
 
     def derive_rng(self, tag: bytes, *parts) -> np.random.Generator:
         """Deterministic generator tied to this chip's seed and the call data."""
         return self._rng(tag, *parts)
 
     def wear_units(self, addresses) -> np.ndarray:
-        """Raw bit-transition units at the given addresses (16 = one pair)."""
-        addrs = np.asarray(addresses, dtype=np.int64)
-        self._check_addresses(addrs)
-        return self._units[addrs].copy()
+        """Raw bit-transition units (16 = one pair) at strictly increasing
+        addresses inside the chip."""
+        _, cells = self._index(addresses)
+        return self._units[cells].copy()
 
     # -- measurement -------------------------------------------------------
 
@@ -363,22 +347,12 @@ class ChipModel:
         """Write all-zeros then all-ones per address, recording both times.
 
         Each measured address gains exactly one set-reset pair of wear; both
-        samples are drawn at the wear level on entry.  Strictly increasing
-        addresses skip the duplicate search; a repeated address is measured
-        once per listing, each time at the wear its earlier entries left.
+        samples are drawn at the wear level on entry.  Addresses must be
+        strictly increasing and inside the chip.
         """
-        addrs = np.asarray(addresses, dtype=np.int64)
-        if len(addrs) == 0:
-            return TimingTrace(addrs, [], [])
-        self._check_addresses(addrs)
-        cells = _increasing_index(addrs)
-        units = self._units[addrs if cells is None else cells]
+        addrs, cells = self._index(addresses)
+        units = self._units[cells]
         self._check_wear(addrs, units)
-        if cells is None:
-            if len(np.unique(addrs)) != len(addrs):
-                # Repeated addresses must see the wear of earlier entries.
-                return self._measure_with_repeats(addrs)
-            cells = addrs
         stress = units / UNITS_PER_PAIR
         rng = self._rng(b"trace", addrs, units)
         scale = self._scale()
@@ -390,15 +364,6 @@ class ChipModel:
         self._units[cells] += UNITS_PER_PAIR
         self._values[cells] = 0xFF
         self.simulated_clock += float(set_times.sum() + reset_times.sum())
-        return TimingTrace(addrs, set_times, reset_times)
-
-    def _measure_with_repeats(self, addrs: np.ndarray) -> TimingTrace:
-        set_times = np.empty(len(addrs))
-        reset_times = np.empty(len(addrs))
-        for i, a in enumerate(addrs):
-            t = self.measure_trace(np.array([a]))
-            set_times[i] = t.set_times[0]
-            reset_times[i] = t.reset_times[0]
         return TimingTrace(addrs, set_times, reset_times)
 
     # -- environment -------------------------------------------------------

@@ -54,9 +54,10 @@ def _key(args):
     return load_key(args.key)
 
 
-def _chip(args, profile, address_count=None):
+def _chip(args, profile, address_count=None, seed=None):
     """The --chip state file, else a fresh chip of `address_count` cells
-    (commands without one need --chip), at the --temperature if given."""
+    seeded with `seed`, default --seed (commands without a count need
+    --chip), at the --temperature if given."""
     path = getattr(args, "chip", None)  # characterize has no --chip
     if path:
         try:
@@ -70,7 +71,7 @@ def _chip(args, profile, address_count=None):
         raise ConfigurationError("this command needs --chip")
     else:
         chip = new_chip(ChipGeometry(address_count=address_count), profile,
-                        args.seed)
+                        args.seed if seed is None else seed)
     # A fresh chip checks any requested temperature, a loaded one a change.
     if args.temperature is not None and (
             not path or args.temperature != chip.temperature):
@@ -246,11 +247,10 @@ def cmd_attack(args, profile) -> int:
 
 
 def cmd_sweep(args, profile) -> int:
-    geometry = ChipGeometry(address_count=args.address_count)
     seeds = iter(range(args.seed, args.seed + 1_000_000))
 
     def factory():
-        return new_chip(geometry, profile, next(seeds))
+        return _chip(args, profile, args.address_count, next(seeds))
 
     n_list = []
     if args.kind == "post-hiding":

@@ -266,8 +266,6 @@ class EncodeReport:
 
     simulated_seconds: float    # stress pairs x payload bits x pair time
     chip_busy_seconds: float    # command time actually consumed on the chip
-    pairs_applied: int
-    cells_stressed: int
     endurance_fraction: float
 
 
@@ -299,8 +297,6 @@ def encode(chip: ChipModel, key: HidingKey, payload: Payload,
     return EncodeReport(
         simulated_seconds=model_seconds,
         chip_busy_seconds=busy,
-        pairs_applied=key.stress_count,
-        cells_stressed=len(ones),
         endurance_fraction=key.stress_count / chip.profile.endurance_rated,
     )
 

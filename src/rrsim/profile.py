@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, fields
 from importlib import resources
 
 import numpy as np
@@ -49,6 +49,8 @@ class WearCurve:
         return out
 
     def validate(self):
+        if not all(map(math.isfinite, (self.t0, self.a, self.p))):
+            raise ConfigurationError("wear curve parameters must be finite")
         if self.t0 <= 0 or self.a <= 0:
             raise ConfigurationError("wear curve times must be positive")
         if self.p < 1:
@@ -79,6 +81,13 @@ class CalibrationProfile:
     def __post_init__(self):
         self.set_curve.validate()
         self.reset_curve.validate()
+        for name in ("endurance_rated", "endurance_max"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigurationError(f"{name} must be a whole number")
+        for f in fields(self)[2:]:  # every number; the curves come first
+            if not math.isfinite(getattr(self, f.name)):
+                raise ConfigurationError(f"{f.name} must be a finite number")
         if self.set_sigma < 0 or self.reset_sigma < self.set_sigma:
             raise ConfigurationError("need reset_sigma >= set_sigma >= 0")
         for name in ("buffered_command_time", "pair_time", "noop_time"):
@@ -90,6 +99,11 @@ class CalibrationProfile:
             raise ConfigurationError("need endurance_max >= endurance_rated > 0")
         if self.temp_rated_min >= self.temp_rated_max:
             raise ConfigurationError("bad rated temperature range")
+        # temp_factor is linear, so both ends bound it over the whole range.
+        if min(self.temp_factor(self.temp_rated_min),
+               self.temp_factor(self.temp_rated_max)) <= 0:
+            raise ConfigurationError(
+                "temp_coeff makes switch times non-positive in the rated range")
 
     # -- mean model ------------------------------------------------------
 

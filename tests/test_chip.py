@@ -1,5 +1,7 @@
 """Device-model behaviour: wear accounting, timing draws, persistence."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -147,10 +149,18 @@ class TestMeasureTrace:
         assert np.all(chip.stress_pairs[:10] == 2.0)
 
     def test_repeat_address_measured_at_incremented_wear(self, chip):
-        trace = chip.measure_trace(np.array([4, 4]))
+        first = chip.measure_trace([4])
+        second = chip.measure_trace([4])
         assert chip.stress_count(4) == 2
-        # Two entries exist and came from different wear levels.
-        assert trace.set_times[0] != trace.set_times[1]
+        # The second call draws at the wear the first one left.
+        assert first.set_times[0] != second.set_times[0]
+        # The bytes and clock `measure_trace([4, 4])` gave while repeated
+        # lists were still accepted.
+        times = np.r_[first.set_times, second.set_times,
+                      first.reset_times, second.reset_times]
+        assert hashlib.sha256(times.tobytes()).hexdigest() == (
+            "613ca9c900e71162284993b8dd6f915d2105423371d535c91f7bfc2193629dec")
+        assert chip.simulated_clock == 0.0004317073388199027
 
     def test_clock_additivity(self, profile):
         chip = fresh_chip(profile, seed=11, addresses=1024)
@@ -176,7 +186,7 @@ class TestMeasureTrace:
                 chip.buffered_write(base, rng.integers(0, 256, 256,
                                                        dtype=np.uint8))
             else:
-                chip.measure_trace(rng.integers(0, 2048, 16))
+                chip.measure_trace(np.unique(rng.integers(0, 2048, 16)))
             pairs = chip.stress_pairs
             assert np.all(pairs >= last)
             last = pairs.copy()

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import rrsim
-from rrsim import cli
+from rrsim import cli, harness
 
 
 def run(args):
@@ -416,6 +416,34 @@ class TestTemperature:
         code, _, err = captured([*REL_HIDE, *flags])
         assert code == cli.EXIT_USAGE
         assert err.startswith("error: 25.0 C outside rated range")
+
+    def test_sweep_chips_take_the_flag(self, workdir, profile):
+        argv = ["sweep", "--kind", "replica-size", "--sizes", "32",
+                "--out", "s.csv", "--address-count", "16384", "--seed", "4"]
+        assert run(argv) == cli.EXIT_OK
+        cool = (workdir / "s.csv").read_bytes()
+        assert run([*argv, "--temperature", "80"]) == cli.EXIT_OK
+        warm = (workdir / "s.csv").read_bytes()
+        assert warm != cool
+        seeds = iter(range(4, 100))
+
+        def factory():
+            chip = rrsim.new_chip(rrsim.ChipGeometry(address_count=16384),
+                                  profile, next(seeds))
+            chip.set_temperature(80.0)
+            return chip
+
+        reports = harness.sweep_replica_size(factory, [32], rng_seed=4)
+        harness.write_reports_csv("h.csv", "replica-size-set", reports, seed=4)
+        assert (workdir / "h.csv").read_bytes() == warm
+
+    def test_sweep_refuses_an_unrated_temperature(self, workdir):
+        code, out, err = captured(
+            ["sweep", "--kind", "replica-size", "--sizes", "32", "--out",
+             "s.csv", "--address-count", "16384", "--temperature", "500"])
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: 500.0 C outside rated range")
 
 
 @pytest.mark.parametrize("command", ["retrieve", "attack"])

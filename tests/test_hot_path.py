@@ -1,9 +1,11 @@
-"""The chip's strictly increasing fast path against the general one.
+"""The chip's hot path against straightforward oracles.
 
 Each oracle below is the straightforward version of a hot-path routine:
-np.unique run splitting, np.add.at wear, per-buffer erase commands, nested
+np.split run splitting, indexed wear, per-buffer erase commands, nested
 plan loops and a loop over every threshold cut.  The library must agree
-with it exactly on sorted, unsorted, repeated and multi-run input.
+with it exactly on single, contiguous and multi-run input.  Address lists
+must be strictly increasing: the oracles refuse unsorted or repeated ones,
+and so must the chip, before it changes any state.
 """
 
 import numpy as np
@@ -22,20 +24,37 @@ ADDRESS_SETS = {
     "buffer-plus-one": np.arange(511, 768),
     "single": np.array([4095]),
     "runs": np.r_[0:300, 301, 700:1300, 2000, 2500:3100],
+}
+REFUSED_SETS = {
     "unsorted": SHUFFLED,
     "repeated": np.array([5, 5, 6, 7, 7, 7, 300, 301]),
     "repeated-unsorted": np.r_[SHUFFLED[:400], SHUFFLED[100:200], 5, 5],
 }
+ALL_SETS = {**ADDRESS_SETS, **REFUSED_SETS}
+
+
+def outcome(fn, *args):
+    """What `fn(*args)` returns, or "refused" on ConfigurationError."""
+    try:
+        return fn(*args)
+    except rrsim.ConfigurationError:
+        return "refused"
+
+
+def refuse_unless_increasing(addrs):
+    if not np.all(np.diff(addrs) > 0):
+        raise rrsim.ConfigurationError("addresses must be strictly increasing")
 
 
 def span_count_oracle(addrs, size):
-    uniq = np.unique(addrs)
-    runs = np.split(uniq, np.nonzero(np.diff(uniq) != 1)[0] + 1)
+    refuse_unless_increasing(addrs)
+    runs = np.split(addrs, np.nonzero(np.diff(addrs) != 1)[0] + 1)
     return int(sum(-(-len(run) // size) for run in runs))
 
 
 def stress_oracle(chip, addrs, pairs):
-    np.add.at(chip._units, addrs, pairs * UNITS_PER_PAIR)
+    refuse_unless_increasing(addrs)
+    chip._units[addrs] += pairs * UNITS_PER_PAIR
     elapsed = (pairs * span_count_oracle(addrs, chip.geometry.buffer_size)
                * chip.profile.pair_time)
     chip.simulated_clock += elapsed
@@ -43,11 +62,8 @@ def stress_oracle(chip, addrs, pairs):
 
 
 def trace_oracle(chip, addrs):
-    """One vectorized draw for distinct addresses; repeats one at a time."""
-    if len(np.unique(addrs)) != len(addrs):
-        parts = [trace_oracle(chip, np.array([a])) for a in addrs]
-        return (np.concatenate([p[0] for p in parts]),
-                np.concatenate([p[1] for p in parts]))
+    """One vectorized draw over every address."""
+    refuse_unless_increasing(addrs)
     units = chip._units[addrs]
     rng = chip._rng(b"trace", addrs, units)
     stress = units / UNITS_PER_PAIR
@@ -87,49 +103,80 @@ def worn_chip(profile, seed=31, random_delay=False):
     return chip
 
 
-@pytest.mark.parametrize("kind", ADDRESS_SETS)
+@pytest.mark.parametrize("kind", ALL_SETS)
 def test_buffer_span_count_matches_oracle(profile, kind):
-    addrs = ADDRESS_SETS[kind]
+    addrs = ALL_SETS[kind]
     for size in (1, 7, 256, 4096):
         chip = rrsim.new_chip(rrsim.ChipGeometry(4096, 8, size), profile, seed=1)
-        assert chip._buffer_span_count(addrs) == span_count_oracle(addrs, size)
+        # apply_stress_pairs counts spans only of a list `_index` accepted.
+        counted = outcome(lambda: chip._buffer_span_count(chip._index(addrs)[0]))
+        assert counted == outcome(span_count_oracle, addrs, size)
 
 
-@pytest.mark.parametrize("kind", ADDRESS_SETS)
+@pytest.mark.parametrize("kind", ALL_SETS)
 def test_stress_pairs_match_oracle(profile, kind):
     chip = worn_chip(profile)
     twin = chip.clone()
-    addrs = ADDRESS_SETS[kind]
-    elapsed = chip.apply_stress_pairs(addrs, 1234)
-    assert elapsed == stress_oracle(twin, addrs, 1234)
+    addrs = ALL_SETS[kind]
+    elapsed = outcome(chip.apply_stress_pairs, addrs, 1234)
+    assert elapsed == outcome(stress_oracle, twin, addrs, 1234)
     assert chip == twin
 
 
 @pytest.mark.parametrize("random_delay", [False, True])
-@pytest.mark.parametrize("kind", ADDRESS_SETS)
+@pytest.mark.parametrize("kind", ALL_SETS)
 def test_trace_matches_oracle(profile, kind, random_delay):
     chip = worn_chip(profile, random_delay=random_delay)
     twin = chip.clone()
-    addrs = ADDRESS_SETS[kind]
-    trace = chip.measure_trace(addrs)
-    set_times, reset_times = trace_oracle(twin, addrs)
-    assert np.array_equal(trace.addresses, addrs)
-    assert np.array_equal(trace.set_times, set_times)
-    assert np.array_equal(trace.reset_times, reset_times)
+    addrs = ALL_SETS[kind]
+    trace = outcome(chip.measure_trace, addrs)
+    expected = outcome(trace_oracle, twin, addrs)
+    if expected == "refused":
+        assert trace == "refused"
+    else:
+        assert np.array_equal(trace.addresses, addrs)
+        assert np.array_equal(trace.set_times, expected[0])
+        assert np.array_equal(trace.reset_times, expected[1])
     assert chip == twin
+
+
+ADDRESS_METHODS = {
+    "measure_trace": lambda chip, a: chip.measure_trace(a),
+    "apply_stress_pairs": lambda chip, a: chip.apply_stress_pairs(a, 3),
+    "apply_transitions": lambda chip, a: chip.apply_transitions(
+        a, np.full(len(a), 7), 1.0),
+    "set_values": lambda chip, a: chip.set_values(a, np.zeros(len(a))),
+    "wear_units": lambda chip, a: chip.wear_units(a),
+}
+
+
+@pytest.mark.parametrize("method", ADDRESS_METHODS)
+@pytest.mark.parametrize("addrs, error", [
+    *((REFUSED_SETS[kind], rrsim.ConfigurationError) for kind in REFUSED_SETS),
+    (np.array([-1, 0, 1]), rrsim.BoundsError),
+    (np.array([4000, 4096]), rrsim.BoundsError),
+    (np.array([5, 4095, 4096]), rrsim.BoundsError),
+], ids=[*REFUSED_SETS, "negative", "past-end", "past-end-gapped"])
+def test_address_rule_refuses_before_any_change(profile, method, addrs, error):
+    chip = worn_chip(profile)
+    before = chip.clone()
+    with pytest.raises(error):
+        ADDRESS_METHODS[method](chip, addrs)
+    assert chip == before
 
 
 def test_repeated_addresses_cannot_pass_endurance(profile):
     chip = fresh_chip(profile, seed=8, addresses=1024)
     chip.apply_stress_pairs([9], 10)
     before = chip.clone()
-    # 3 x 400 K pairs on one cell is 1.2 M against a 1 M limit.
-    with pytest.raises(rrsim.WearOutError) as err:
+    # Listed three times, cell 5 would take 1.2 M pairs against a 1 M limit;
+    # repeated lists are refused before any wear is added.
+    with pytest.raises(rrsim.ConfigurationError):
         chip.apply_stress_pairs([5, 9, 5, 5], 400_000)
-    assert err.value.addresses == [5, 5, 5]
     assert chip == before
-    chip.apply_stress_pairs([5, 5], 400_000)
-    assert chip.stress_count(5) == 800_000
+    with pytest.raises(rrsim.ConfigurationError):
+        chip.apply_stress_pairs([5, 5], 400_000)
+    assert chip == before
 
 
 def test_multi_buffer_write_matches_single_buffer_commands(profile):
@@ -229,15 +276,14 @@ def test_repeated_transitions_cannot_pass_endurance(profile):
     chip = fresh_chip(profile, seed=8, addresses=1024)
     limit = profile.endurance_max * rrsim.chip.UNITS_PER_PAIR
     before = chip.clone()
-    # Each listing alone fits, but together they put cell 5 past the limit.
-    with pytest.raises(rrsim.WearOutError) as err:
+    # Each listing alone fits, but together they would put cell 5 past the
+    # limit; repeated lists are refused before any wear is added.
+    with pytest.raises(rrsim.ConfigurationError):
         chip.apply_transitions([5, 9, 5], [limit - 10, 7, limit - 10], 1.0)
-    assert err.value.addresses == [5, 5]
     assert chip == before
-    chip.apply_transitions([5, 9, 5], [limit // 2, 7, limit // 2], 1.0)
-    assert chip.stress_count(5) == profile.endurance_max
-    assert chip.wear_units([9])[0] == 7
-    assert chip.simulated_clock == 1.0
+    with pytest.raises(rrsim.ConfigurationError):
+        chip.apply_transitions([5, 9, 5], [limit // 2, 7, limit // 2], 1.0)
+    assert chip == before
 
 
 @pytest.mark.parametrize("addrs, counts, seconds", [
@@ -260,6 +306,6 @@ def test_increasing_transitions_match_repeated_path(profile):
     steps = rng_for(4).integers(0, 5000, len(addrs))
     chip.apply_transitions(addrs, steps, 0.5)
     for a, s in zip(addrs, steps):
-        twin.apply_transitions([a, a], [s, 0], 0.5 / len(addrs))
+        twin.apply_transitions([a], [s], 0.5 / len(addrs))
     assert np.array_equal(chip.wear_units(np.arange(4096)),
                           twin.wear_units(np.arange(4096)))

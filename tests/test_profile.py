@@ -59,6 +59,26 @@ def test_endurance_ordering_enforced(profile):
             chip_variation=0.05)
 
 
+@pytest.mark.parametrize("path, value", [
+    (("set_curve", "t0"), float("nan")),
+    (("endurance_max",), 1_000_000.5),
+    (("endurance_rated",), True),
+    (("pair_time",), float("inf")),
+    # 1 - 0.02 * (85 - 25) < 0: negative set times at the rated maximum.
+    (("temp_coeff",), -0.02),
+], ids=["nan-curve", "fractional-endurance", "boolean-endurance",
+        "infinite-time", "negative-temp-factor"])
+def test_values_that_break_the_model_rejected(profile, path, value):
+    d = profile.to_dict()
+    *parents, name = path
+    target = d
+    for part in parents:
+        target = target[part]
+    target[name] = value
+    with pytest.raises(rrsim.ConfigurationError):
+        CalibrationProfile.from_dict(d)
+
+
 def test_sample_times_are_mean_one_noise(profile):
     rng = rng_for(5)
     draws = profile.sample_times("set", np.zeros(200_000), rng)
