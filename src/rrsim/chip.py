@@ -92,21 +92,23 @@ class ChipModel:
                        np.full(geometry.address_count, 0xFF, dtype=np.uint8))
 
     def _assemble(self, geometry, profile, seed, random_delay_enabled,
-                  units, values, chip_factor=None):
-        """Set every attribute around the given cell arrays, which the chip
-        takes over.  `__init__`, `clone` and `load_state` all build here;
-        the chip factor is drawn from the seed unless one is passed."""
-        if (profile.endurance_max + 1) * UNITS_PER_PAIR >= 2**32:
+                  units, values, chip_factor=None, clock=0.0,
+                  temperature=25.0, bake_log=()):
+        """Set the chip's whole state around the given cell arrays, which
+        the chip takes over.  `__init__`, `clone` and `load_state` all build
+        here; the chip factor is drawn from the seed unless one is passed."""
+        self._limit = profile.endurance_max * UNITS_PER_PAIR  # most wear a cell may carry
+        if self._limit + UNITS_PER_PAIR >= 2**32:
             raise ConfigurationError(
                 f"endurance_max {profile.endurance_max} overflows the state "
                 f"file's uint32 wear field")
         self.geometry = geometry
         self.profile = profile
         self.seed = int(seed)
-        self.temperature = 25.0
-        self.simulated_clock = 0.0
+        self.temperature = float(temperature)
+        self.simulated_clock = clock
         self.random_delay_enabled = random_delay_enabled
-        self.bake_log: list[tuple[float, float]] = []  # (celsius, seconds), not persisted
+        self.bake_log = list(bake_log)  # (celsius, seconds), not persisted
         # Wear in bit-transition units (16 = one byte set-reset pair).
         self._units = units
         self._values = values
@@ -144,10 +146,8 @@ class ChipModel:
         twin = ChipModel.__new__(ChipModel)
         twin._assemble(self.geometry, self.profile, self.seed,
                        self.random_delay_enabled, self._units.copy(),
-                       self._values.copy(), self.chip_factor)
-        twin.temperature = self.temperature
-        twin.simulated_clock = self.simulated_clock
-        twin.bake_log = list(self.bake_log)
+                       self._values.copy(), self.chip_factor,
+                       self.simulated_clock, self.temperature, self.bake_log)
         return twin
 
     # -- internals ---------------------------------------------------------
@@ -189,20 +189,29 @@ class ChipModel:
 
     def _scale(self) -> float:
         """Common multiplier on mean times: chip speed, temperature, aging."""
-        drift = 1.0
-        if self.profile.retention_drift:
-            drift += self.profile.retention_drift * self.simulated_clock / 86400.0
-        if self.profile.bake_drift and self.bake_log:
-            drift += self.profile.bake_drift * sum(s / 86400.0 for _, s in self.bake_log)
+        drift = (1.0 + self.profile.retention_drift * self.simulated_clock / 86400.0
+                 + self.profile.bake_drift * sum(s / 86400.0 for _, s in self.bake_log))
         return self.chip_factor * self.profile.temp_factor(self.temperature) * drift
 
     def _check_wear(self, addrs: np.ndarray, worst: np.ndarray):
         """Refuse the operation if any entry of `worst` (the wear `addrs`
         would carry, in units) passes the endurance limit."""
-        mask = worst > self.profile.endurance_max * UNITS_PER_PAIR
+        mask = worst > self._limit
         if np.any(mask):
             raise WearOutError(_PAST_ENDURANCE,
                                addresses=np.atleast_1d(addrs[mask]).tolist())
+
+    def _commit(self, seconds: float, cells=None, units=0, commands=1) -> float:
+        """The one step that changes wear and the clock, after the caller's
+        checks: add `units` at `cells`, if given, and `seconds` once per
+        command (n * t rounds differently from n sums); return the sum."""
+        if cells is not None:
+            self._units[cells] += units
+        elapsed = 0.0
+        for _ in range(commands):
+            elapsed += seconds
+            self.simulated_clock += seconds
+        return elapsed
 
     # -- writes ------------------------------------------------------------
 
@@ -219,8 +228,7 @@ class ChipModel:
         old = int(self._values[address])
         toggled = old ^ value
         if toggled == 0:
-            self.simulated_clock += self.profile.noop_time
-            return WriteResult("noop", self.profile.noop_time)
+            return WriteResult("noop", self._commit(self.profile.noop_time))
         cell = np.array([address])
         self._check_wear(cell, self._units[cell])
         set_bits = old & ~value & 0xFF
@@ -230,10 +238,9 @@ class ChipModel:
         seconds = float(self.profile.sample_times(kind, stress, rng, scale=self._scale()))
         if self.random_delay_enabled:
             seconds += float(rng.uniform(0.0, self.profile.jitter_max))
-        self._units[address] += int(_POPCOUNT[toggled])
         self._values[address] = value
-        self.simulated_clock += seconds
-        return WriteResult(kind, seconds)
+        return WriteResult(kind, self._commit(seconds, address,
+                                              int(_POPCOUNT[toggled])))
 
     def buffered_write(self, base_address: int, values) -> float:
         """Write whole buffers of bytes, one flat-latency command per buffer.
@@ -253,22 +260,15 @@ class ChipModel:
         self._check_range(base_address, len(buf))
         sl = slice(base_address, base_address + len(buf))
         toggled = self._values[sl] ^ buf
-        limit = self.profile.endurance_max * UNITS_PER_PAIR
-        worn = (toggled != 0) & (self._units[sl] > limit)
+        worn = (toggled != 0) & (self._units[sl] > self._limit)
         done = len(buf)
         if np.any(worn):
             first = int(np.argmax(worn))
             done = first - first % size
         ok = slice(base_address, base_address + done)
-        self._units[ok] += _POPCOUNT[toggled[:done]].astype(np.int64)
         self._values[ok] = buf[:done]
-        # One addition per command: n * t rounds differently from n sums,
-        # and the clock is persisted.
-        step = self.profile.buffered_command_time
-        elapsed = 0.0
-        for _ in range(done // size):
-            elapsed += step
-            self.simulated_clock += step
+        elapsed = self._commit(self.profile.buffered_command_time, ok,
+                               _POPCOUNT[toggled[:done]], done // size)
         if done < len(buf):
             bad = np.flatnonzero(worn[done:done + size]) + (base_address + done)
             raise WearOutError(_PAST_ENDURANCE, addresses=bad.tolist())
@@ -288,11 +288,10 @@ class ChipModel:
             raise ConfigurationError("pairs must be >= 0")
         if len(addrs) == 0 or pairs == 0:
             return 0.0
-        self._add_wear(addrs, cells, pairs * UNITS_PER_PAIR)
+        self._check_wear(addrs, self._units[cells] + pairs * UNITS_PER_PAIR)
         commands = self._buffer_span_count(addrs)
-        elapsed = pairs * commands * self.profile.pair_time
-        self.simulated_clock += elapsed
-        return elapsed
+        return self._commit(pairs * commands * self.profile.pair_time,
+                            cells, pairs * UNITS_PER_PAIR)
 
     def _buffer_span_count(self, addrs: np.ndarray) -> int:
         """Buffered commands needed to cover strictly increasing `addrs`:
@@ -303,33 +302,28 @@ class ChipModel:
         size = self.geometry.buffer_size
         return int((-(-lengths // size)).sum())
 
-    def _add_wear(self, addrs: np.ndarray, cells, units):
-        """Add `units` (scalar or per address) to the cells `_index` gave,
-        or nothing if one would pass the endurance limit."""
-        self._check_wear(addrs, self._units[cells] + units)
-        self._units[cells] += units
-
     def apply_transitions(self, addresses, transitions, seconds: float) -> None:
         """Add raw per-cell bit-transition counts plus a flat time cost.
 
         Backdoor for bulk traffic generators that compute their own toggle
         statistics.  Addresses must be strictly increasing and inside the
-        chip, negative counts or seconds are refused, wear limits are still
-        enforced, and nothing is applied on failure.
+        chip; counts (one, or one per address) and seconds must not be
+        negative; wear limits hold, and nothing is applied on failure.
         """
         addrs, cells = self._index(addresses)
-        units = np.asarray(transitions, dtype=np.int64)
+        units = _per_address(addrs, transitions, np.int64)
         if seconds < 0 or np.any(units < 0):
             raise ConfigurationError(
                 "transition counts and seconds must not be negative")
-        self._add_wear(addrs, cells, units)
-        self.simulated_clock += seconds
+        self._check_wear(addrs, self._units[cells] + units)
+        self._commit(seconds, cells, units)
 
     def set_values(self, addresses, values) -> None:
         """Overwrite stored bytes without timing or wear (traffic
-        bookkeeping) at strictly increasing addresses inside the chip."""
-        _, cells = self._index(addresses)
-        self._values[cells] = np.asarray(values, dtype=np.uint8)
+        bookkeeping) at strictly increasing addresses inside the chip;
+        `values` is one byte or one per address."""
+        addrs, cells = self._index(addresses)
+        self._values[cells] = _per_address(addrs, values, np.uint8)
 
     def derive_rng(self, tag: bytes, *parts) -> np.random.Generator:
         """Deterministic generator tied to this chip's seed and the call data."""
@@ -361,20 +355,30 @@ class ChipModel:
         if self.random_delay_enabled:
             set_times = set_times + rng.uniform(0.0, self.profile.jitter_max, len(addrs))
             reset_times = reset_times + rng.uniform(0.0, self.profile.jitter_max, len(addrs))
-        self._units[cells] += UNITS_PER_PAIR
         self._values[cells] = 0xFF
-        self.simulated_clock += float(set_times.sum() + reset_times.sum())
+        self._commit(float(set_times.sum() + reset_times.sum()),
+                     cells, UNITS_PER_PAIR)
         return TimingTrace(addrs, set_times, reset_times)
 
     # -- environment -------------------------------------------------------
 
     def set_temperature(self, celsius: float):
-        prof = self.profile
-        if not prof.temp_rated_min <= celsius <= prof.temp_rated_max:
-            raise ConfigurationError(
-                f"{celsius} C outside rated range "
-                f"[{prof.temp_rated_min}, {prof.temp_rated_max}]")
+        self.profile.check_rated(celsius)
         self.temperature = float(celsius)
+
+    def age_retention(self, duration: float) -> None:
+        """Advance the simulated calendar; the default profile drifts nothing."""
+        if not 0 <= duration < np.inf:
+            raise ConfigurationError("duration must be finite and >= 0")
+        self._commit(duration)
+
+    def bake(self, celsius: float, duration: float) -> None:
+        """Age the chip by a thermal soak and log it; drift only if the profile says so."""
+        if celsius > self.profile.temp_rated_max:
+            raise ConfigurationError(
+                f"bake at {celsius} C exceeds the rated {self.profile.temp_rated_max} C")
+        self.age_retention(duration)
+        self.bake_log.append((celsius, duration))
 
     # -- persistence -------------------------------------------------------
 
@@ -399,6 +403,14 @@ class ChipModel:
         cells["stress"] = self._units
         cells["value"] = self._values
         return b"".join((STATE_MAGIC, head, cells))
+
+
+def _per_address(addrs: np.ndarray, data, dtype) -> np.ndarray:
+    """`data` as a `dtype` array: one scalar or one entry per address."""
+    arr = np.asarray(data, dtype=dtype)
+    if arr.ndim and arr.shape != addrs.shape:
+        raise ConfigurationError(f"need one value or one per address, not {arr.shape}")
+    return arr
 
 
 def new_chip(geometry: ChipGeometry | None = None,
@@ -443,15 +455,15 @@ def load_state(data, profile: CalibrationProfile | None = None) -> ChipModel:
     if profile is None:
         from .profile import default_profile
         profile = default_profile()
+    # A new chip's 25 C loads even where the rated range leaves it out.
+    if temperature != 25.0:
+        try:
+            profile.check_rated(temperature)
+        except ConfigurationError as exc:
+            raise FormatError(f"temperature in state file: {exc}") from exc
     cells = np.frombuffer(data, dtype=_CELL_DTYPE, offset=off)
     chip = ChipModel.__new__(ChipModel)
     chip._assemble(geometry, profile, seed, random_delay,
-                   cells["stress"].astype(np.int64), cells["value"].copy())
-    chip.simulated_clock = clock
-    # A new chip's 25 C loads even where the rated range leaves it out.
-    if temperature != chip.temperature:
-        try:
-            chip.set_temperature(temperature)
-        except ConfigurationError as exc:
-            raise FormatError(f"temperature in state file: {exc}") from exc
+                   cells["stress"].astype(np.int64), cells["value"].copy(),
+                   clock=clock, temperature=temperature)
     return chip

@@ -247,6 +247,8 @@ def cmd_attack(args, profile) -> int:
 
 
 def cmd_sweep(args, profile) -> int:
+    if args.temperature is not None:  # even when the grid builds no chip
+        profile.check_rated(args.temperature)
     seeds = iter(range(args.seed, args.seed + 1_000_000))
 
     def factory():

@@ -262,11 +262,9 @@ class AddressPlan:
 
 @dataclass
 class EncodeReport:
-    """What the hiding run cost, in simulated silicon time and wear."""
+    """What the hiding run cost in simulated silicon time."""
 
-    simulated_seconds: float    # stress pairs x payload bits x pair time
     chip_busy_seconds: float    # command time actually consumed on the chip
-    endurance_fraction: float
 
 
 def encode(chip: ChipModel, key: HidingKey, payload: Payload,
@@ -293,12 +291,7 @@ def encode(chip: ChipModel, key: HidingKey, payload: Payload,
     except WearOutError as exc:
         raise EncodeError("cells wore out during encoding",
                           addresses=exc.addresses) from exc
-    model_seconds = key.stress_count * key.payload_length * chip.profile.pair_time
-    return EncodeReport(
-        simulated_seconds=model_seconds,
-        chip_busy_seconds=busy,
-        endurance_fraction=key.stress_count / chip.profile.endurance_rated,
-    )
+    return EncodeReport(chip_busy_seconds=busy)
 
 
 def _init_to_erased(chip: ChipModel, addresses: np.ndarray) -> float:
@@ -325,7 +318,6 @@ class DecodeResult:
     payload: Payload
     bit_means: np.ndarray
     threshold_used: float
-    centroids: tuple | None
     confidence: float           # smallest margin between a bit mean and the cut
     ambiguous: bool
     op: str
@@ -351,6 +343,9 @@ def decode(chip: ChipModel, key: HidingKey, method: str = "kmeans",
         raise ConfigurationError(f"unknown decode method {method!r}")
     if method == "threshold" and threshold is None:
         raise ConfigurationError("threshold method needs a threshold value")
+    if method == "kmeans" and key.payload_length < 2:
+        raise ConfigurationError("kmeans decoding needs at least two payload "
+                                 "bits; use the reference method")
     if method == "reference":
         if reference_addresses is None:
             raise ConfigurationError("reference method needs reference addresses")
@@ -364,10 +359,8 @@ def decode(chip: ChipModel, key: HidingKey, method: str = "kmeans",
     means = plan.bit_means(times)
 
     ambiguous = False
-    centroids = None
     if method == "kmeans":
         labels, (c0, c1) = kmeans2(means)
-        centroids = (c0, c1)
         cut = 0.5 * (c0 + c1)
         bits = labels
         ambiguous = _is_ambiguous(means, labels, c0, c1)
@@ -390,7 +383,6 @@ def decode(chip: ChipModel, key: HidingKey, method: str = "kmeans",
         payload=Payload(tuple(int(b) for b in bits)),
         bit_means=means,
         threshold_used=cut,
-        centroids=centroids,
         confidence=float(np.abs(means - cut).min()),
         ambiguous=ambiguous,
         op=op,

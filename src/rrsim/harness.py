@@ -151,22 +151,9 @@ def simulate_usage(chip: ChipModel, pattern: UsagePattern, cycles: int,
     chip.set_values(addrs, rng.integers(0, 256, count, dtype=np.uint8))
 
 
-def age_retention(chip: ChipModel, duration: float) -> None:
-    """Advance the simulated calendar; the default profile drifts nothing."""
-    if duration < 0:
-        raise ConfigurationError("duration must be >= 0")
-    chip.simulated_clock += duration
-
-
-def bake(chip: ChipModel, celsius: float, duration: float) -> None:
-    """Record a thermal soak; permanent drift only if the profile says so."""
-    if celsius > chip.profile.temp_rated_max:
-        raise ConfigurationError(
-            f"bake at {celsius} C exceeds the rated {chip.profile.temp_rated_max} C")
-    if duration < 0:
-        raise ConfigurationError("duration must be >= 0")
-    chip.bake_log.append((celsius, duration))
-    chip.simulated_clock += duration
+# Aging and baking belong to the chip, which owns its clock and bake log.
+age_retention = ChipModel.age_retention
+bake = ChipModel.bake
 
 
 # ---------------------------------------------------------------------------

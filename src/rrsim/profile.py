@@ -124,6 +124,12 @@ class CalibrationProfile:
     def temp_factor(self, celsius: float) -> float:
         return 1.0 + self.temp_coeff * (celsius - 25.0)
 
+    def check_rated(self, celsius: float) -> None:
+        """Refuse an operating temperature outside the rated range."""
+        if not self.temp_rated_min <= celsius <= self.temp_rated_max:
+            raise ConfigurationError(f"{celsius} C outside rated range "
+                                     f"[{self.temp_rated_min}, {self.temp_rated_max}]")
+
     # -- sampling --------------------------------------------------------
 
     def sample_times(self, op, stress, rng, scale=1.0):

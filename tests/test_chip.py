@@ -95,6 +95,21 @@ class TestTimedWrite:
         with pytest.raises(rrsim.BoundsError):
             chip.timed_write(chip.geometry.address_count, 0x00)
 
+    def test_noop_write_past_endurance_is_allowed(self, profile):
+        # A write that toggles nothing switches no cell: no endurance check,
+        # no wear, only the no-op command time.
+        chip = fresh_chip(profile, seed=1, addresses=512)
+        chip.apply_stress_pairs([0], profile.endurance_max)
+        chip.timed_write(0, 0x00)  # at the limit: allowed, and now past it
+        assert chip.stress_pairs[0] > profile.endurance_max
+        units, clock = chip.wear_units([0]), chip.simulated_clock
+        result = chip.timed_write(0, 0x00)
+        assert (result.kind, result.seconds) == ("noop", profile.noop_time)
+        assert chip.wear_units([0]) == units
+        assert chip.simulated_clock == clock + profile.noop_time
+        with pytest.raises(rrsim.WearOutError):
+            chip.timed_write(0, 0xFF)
+
 
 class TestBufferedWrite:
     def test_set_reset_pair_costs_10ms(self, chip, profile):

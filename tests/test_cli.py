@@ -445,6 +445,16 @@ class TestTemperature:
         assert out == ""
         assert err.startswith("error: 500.0 C outside rated range")
 
+    def test_empty_sweep_refuses_an_unrated_temperature(self, workdir):
+        # No chip is built for an empty grid; the flag is still checked.
+        code, out, err = captured(
+            ["sweep", "--kind", "initial-stress", "--grid", "", "--out",
+             "e.csv", "--address-count", "16384", "--temperature", "500"])
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: 500.0 C outside rated range")
+        assert not (workdir / "e.csv").exists()
+
 
 @pytest.mark.parametrize("command", ["retrieve", "attack"])
 @pytest.mark.parametrize("missing", ["--key", "--chip"])

@@ -136,8 +136,6 @@ class TestEncode:
         key = rrsim.HidingKey(0, 256, 1, (0,), 32, 15_000)
         payload = rrsim.Payload.from_hex("0xECE3038B")
         report = rrsim.encode(chip, key, payload)
-        assert report.simulated_seconds == pytest.approx(4800.0)
-        assert report.endurance_fraction == pytest.approx(0.03)
         # The chip itself only stresses the sixteen 1-bit groups.
         ones = sum(payload.bits)
         assert report.chip_busy_seconds == pytest.approx(
@@ -443,3 +441,17 @@ class TestDecodeArgumentsCheckedFirst:
         with pytest.raises(rrsim.ConfigurationError):
             rrsim.decode(chip, key, **kwargs)
         assert chip == before
+
+    def test_kmeans_refuses_a_one_bit_key(self, profile):
+        # Two clusters need two bit means; the refusal names the method that
+        # decodes a single bit and comes before the footprint is measured.
+        chip = fresh_chip(profile, seed=3)
+        key = rrsim.HidingKey(0, 256, 1, (0,), 1, 15_000)
+        rrsim.encode(chip, key, rrsim.Payload((1,)))
+        before = chip.clone()
+        with pytest.raises(rrsim.ConfigurationError, match="reference"):
+            rrsim.decode(chip, key)
+        assert chip == before
+        result = rrsim.decode(chip, key, method="reference",
+                              reference_addresses=np.arange(256, 512))
+        assert result.payload.bits == (1,)

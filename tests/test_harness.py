@@ -101,6 +101,24 @@ class TestRetentionAndBake:
         with pytest.raises(rrsim.ConfigurationError):
             harness.bake(chip, 120.0, 3600.0)
 
+    @pytest.mark.parametrize("refused", [
+        lambda chip: chip.bake(80.0, -1.0),
+        lambda chip: chip.bake(chip.profile.temp_rated_max + 1, 3600.0),
+        lambda chip: chip.age_retention(-1),
+        lambda chip: chip.age_retention(float("nan")),
+        lambda chip: chip.bake(80.0, float("inf"))])
+    def test_refused_aging_changes_nothing(self, chip, refused):
+        chip.bake(60.0, 3600.0)
+        before = chip.clone()
+        with pytest.raises(rrsim.ConfigurationError):
+            refused(chip)
+        assert chip == before
+        assert chip.bake_log == before.bake_log == [(60.0, 3600.0)]
+
+    def test_harness_names_are_the_chip_methods(self):
+        assert harness.bake is rrsim.ChipModel.bake
+        assert harness.age_retention is rrsim.ChipModel.age_retention
+
     def test_configured_bake_drift_shifts_means(self, profile):
         baked_profile = rrsim.CalibrationProfile(**{
             **{k: getattr(profile, k) for k in profile.__dataclass_fields__},

@@ -309,3 +309,25 @@ def test_increasing_transitions_match_repeated_path(profile):
         twin.apply_transitions([a], [s], 0.5 / len(addrs))
     assert np.array_equal(chip.wear_units(np.arange(4096)),
                           twin.wear_units(np.arange(4096)))
+
+
+@pytest.mark.parametrize("counts", [[5], [5, 5], [[5, 5, 5]], np.ones((3, 1))])
+def test_transition_counts_need_one_per_address(profile, counts):
+    chip = fresh_chip(profile, seed=8, addresses=1024)
+    before = chip.clone()
+    with pytest.raises(rrsim.ConfigurationError):
+        chip.apply_transitions([1, 2, 3], counts, 0.0)
+    assert chip == before
+    chip.apply_transitions([1, 2, 3], 5, 0.0)
+    assert chip.wear_units([1, 2, 3]).tolist() == [5, 5, 5]
+
+
+@pytest.mark.parametrize("values", [[7], [7, 7], [[7, 7, 7]]])
+def test_stored_values_need_one_per_address(profile, values):
+    chip = fresh_chip(profile, seed=8, addresses=1024)
+    before = chip.clone()
+    with pytest.raises(rrsim.ConfigurationError):
+        chip.set_values(np.arange(3), values)
+    assert chip == before
+    chip.set_values(np.arange(3), 7)
+    assert chip.values[:4].tolist() == [7, 7, 7, 0xFF]
