@@ -84,30 +84,19 @@ def characterize(chip: ChipModel, addresses, max_pairs: int,
 
     bin_size = min(chip.geometry.buffer_size, len(addrs))
     records = []
-    level = 0
-    while True:
-        try:
-            trace = chip.measure_trace(addrs)
-        except WearOutError:
-            warnings.warn(
-                f"characterization stopped at {level} pairs: cells reached "
-                "the endurance limit", TruncatedRunWarning)
-            break
-        records.append(_record_from_trace(level, trace, bin_size))
-        if level >= max_pairs:
-            break
-        nxt = min(level + sample_interval, max_pairs)
-        # The measurement above already added one pair.
-        bulk = nxt - level - 1
-        if bulk > 0:
-            try:
-                chip.apply_stress_pairs(addrs, bulk)
-            except WearOutError:
-                warnings.warn(
-                    f"characterization stopped after {level} pairs: cells "
-                    "reached the endurance limit", TruncatedRunWarning)
-                break
-        level = nxt
+    applied = 0  # pairs applied so far; each measurement applies one
+    # max_pairs == 0 takes a single record and needs no interval.
+    try:
+        for level in [*range(0, max_pairs, max(sample_interval, 1)), max_pairs]:
+            if level > applied:
+                chip.apply_stress_pairs(addrs, level - applied)
+            records.append(_record_from_trace(level, chip.measure_trace(addrs),
+                                              bin_size))
+            applied = level + 1
+    except WearOutError:
+        warnings.warn(
+            f"characterization stopped short of {level} pairs: cells reached "
+            "the endurance limit", TruncatedRunWarning)
     return records
 
 

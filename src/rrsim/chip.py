@@ -138,6 +138,7 @@ class ChipModel:
                 and self.seed == other.seed
                 and self.temperature == other.temperature
                 and self.simulated_clock == other.simulated_clock
+                and self.random_delay_enabled == other.random_delay_enabled
                 and np.array_equal(self._units, other._units)
                 and np.array_equal(self._values, other._values))
 
@@ -374,9 +375,7 @@ class ChipModel:
 
     def bake(self, celsius: float, duration: float) -> None:
         """Age the chip by a thermal soak and log it; drift only if the profile says so."""
-        if celsius > self.profile.temp_rated_max:
-            raise ConfigurationError(
-                f"bake at {celsius} C exceeds the rated {self.profile.temp_rated_max} C")
+        self.profile.check_rated(celsius)
         self.age_retention(duration)
         self.bake_log.append((celsius, duration))
 

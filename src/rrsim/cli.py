@@ -160,8 +160,6 @@ def cmd_characterize(args, profile) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_hide(args, profile) -> int:
-    if not args.payload:
-        raise ConfigurationError("payload must not be empty")
     payload = Payload.from_hex(args.payload, length=args.payload_bits)
     chip = _chip(args, profile, address_count=args.address_count)
     key = generate_key(len(payload), args.base, args.replica_size,
@@ -172,8 +170,8 @@ def cmd_hide(args, profile) -> int:
     save_key(key, key_out)
     with open(chip_out, "wb") as fh:
         fh.write(chip.save_state())
-    pair_time = Fraction(repr(profile.pair_time))
-    model_time = harness.encode_time(key.stress_count, len(payload), pair_time)
+    model_time = harness.encode_time(key.stress_count, len(payload),
+                                     profile.pair_time)
     cost = harness.endurance_cost(key.stress_count, profile.endurance_rated)
     rate = Fraction(len(payload) * 60) / model_time if model_time else Fraction(0)
     print(f"hidden {len(payload)} bits at stress count {key.stress_count}")

@@ -26,7 +26,6 @@ import numpy as np
 from .chip import UNITS_PER_PAIR, ChipGeometry, ChipModel
 from .errors import (AmbiguousDecodeWarning, ConfigurationError, EncodeError,
                      FormatError, UsedCellsWarning, WearOutError)
-from .profile import CalibrationProfile
 
 KEY_FORMAT = "rrsim-key"
 KEY_VERSION = 1
@@ -180,70 +179,36 @@ def _is_json_int(value) -> bool:
 
 def generate_key(payload_length: int, base_address: int, replica_size: int,
                  replica_count: int, stress_count: int, rng_seed: int,
-                 geometry: ChipGeometry | None = None,
-                 profile: CalibrationProfile | None = None) -> HidingKey:
-    """Draw a fresh key with uniform i.i.d. per-replica rotations.
-
-    Warns (but does not fail) when the requested stress count sits under
-    the profile's separation threshold for the layout's averaging size.
-    """
+                 geometry: ChipGeometry | None = None) -> HidingKey:
+    """Draw a fresh key with uniform i.i.d. per-replica rotations."""
     rng = np.random.Generator(np.random.PCG64(rng_seed))
     rotations = tuple(int(k) for k in rng.integers(0, payload_length, replica_count))
     key = HidingKey(base_address, replica_size, replica_count, rotations,
                     payload_length, stress_count)
-    if geometry is None:
-        geometry = ChipGeometry()
-    if key.base_address + key.footprint > geometry.address_count:
-        raise ConfigurationError(
-            f"footprint of {key.footprint} addresses at base {base_address} "
-            f"does not fit a chip of {geometry.address_count}")
-    if profile is not None:
-        from .calibration import min_stress_for_separation
-        averaging = key.replica_size * key.replica_count
-        needed = min_stress_for_separation(profile, averaging,
-                                           confidence_samples=2000, seed=rng_seed)
-        if stress_count < needed:
-            warnings.warn(
-                f"stress_count {stress_count} below the ~{needed} pairs needed "
-                f"to separate at averaging size {averaging}; expect bit errors",
-                UsedCellsWarning)
+    _check_fits(key, ChipGeometry() if geometry is None else geometry)
     return key
 
 
+def _check_fits(key: HidingKey, geometry: ChipGeometry) -> None:
+    if key.base_address + key.footprint > geometry.address_count:
+        raise ConfigurationError(
+            f"footprint of {key.footprint} addresses at base {key.base_address} "
+            f"does not fit a chip of {geometry.address_count}")
+
+
 class AddressPlan:
-    """Deterministic map from payload-bit positions to chip addresses.
+    """Deterministic map from payload-bit positions to chip addresses."""
 
-    An optional `permutation` hook scatters the logical layout across the
-    footprint window before it touches the chip; this is the plug-in point
-    for a stream-cipher address scrambler.  It may be a permutation array
-    of length `footprint` or a callable producing one, and whoever holds
-    the cipher must supply the same permutation to encode and decode.
-    """
-
-    def __init__(self, key: HidingKey, geometry: ChipGeometry,
-                 permutation=None):
-        if key.base_address + key.footprint > geometry.address_count:
-            raise ConfigurationError("plan does not fit the chip")
+    def __init__(self, key: HidingKey, geometry: ChipGeometry):
+        _check_fits(key, geometry)
         self.key = key
-        base, R, B = key.base_address, key.replica_size, key.payload_length
-        # bit_of_position[j] = payload bit stored at logical offset j: row r
-        # holds groups of R copies of bits k_r, k_r + 1, ... (mod B).
+        R, B = key.replica_size, key.payload_length
+        # bit_of_address[j] = payload bit stored at offset j: row r holds
+        # groups of R copies of bits k_r, k_r + 1, ... (mod B).
         rotations = np.asarray(key.rotations, dtype=np.int64)
-        bit_of_position = ((np.arange(B)[None, :] + rotations[:, None]) % B
-                           ).repeat(R, axis=1).ravel()
-        if permutation is not None:
-            perm = np.asarray(permutation(key.footprint)
-                              if callable(permutation) else permutation,
-                              dtype=np.int64)
-            if len(perm) != key.footprint or \
-                    not np.array_equal(np.sort(perm), np.arange(key.footprint)):
-                raise ConfigurationError(
-                    "permutation must rearrange exactly the footprint offsets")
-            scattered = np.empty_like(bit_of_position)
-            scattered[perm] = bit_of_position
-            bit_of_position = scattered
-        self.addresses = base + np.arange(key.footprint, dtype=np.int64)
-        self.bit_of_address = bit_of_position
+        self.bit_of_address = ((np.arange(B)[None, :] + rotations[:, None]) % B
+                               ).repeat(R, axis=1).ravel()
+        self.addresses = key.base_address + np.arange(key.footprint, dtype=np.int64)
 
     def addresses_for_bit(self, bit: int) -> np.ndarray:
         return self.addresses[self.bit_of_address == bit]
@@ -267,8 +232,7 @@ class EncodeReport:
     chip_busy_seconds: float    # command time actually consumed on the chip
 
 
-def encode(chip: ChipModel, key: HidingKey, payload: Payload,
-           permutation=None) -> EncodeReport:
+def encode(chip: ChipModel, key: HidingKey, payload: Payload) -> EncodeReport:
     """Imprint `payload` by stressing the cells mapped to its 1-bits.
 
     All planned addresses are first initialized to the erased pattern; the
@@ -278,7 +242,7 @@ def encode(chip: ChipModel, key: HidingKey, payload: Payload,
     if len(payload) != key.payload_length:
         raise ConfigurationError(
             f"payload has {len(payload)} bits, key expects {key.payload_length}")
-    plan = AddressPlan(key, chip.geometry, permutation)
+    plan = AddressPlan(key, chip.geometry)
     prior = chip.wear_units(plan.addresses) / UNITS_PER_PAIR
     if prior.mean() > 0:
         warnings.warn(
@@ -328,14 +292,13 @@ class DecodeResult:
 
 def decode(chip: ChipModel, key: HidingKey, method: str = "kmeans",
            threshold: float | None = None, reference_addresses=None,
-           op: str = "set", permutation=None) -> DecodeResult:
+           op: str = "set") -> DecodeResult:
     """Measure the key's footprint and classify each payload bit.
 
     method is one of "kmeans" (two-cluster split of the bit means),
     "threshold" (explicit cut, pass `threshold`), or "reference" (cut
     derived from spare fresh-equivalent cells, pass `reference_addresses`).
-    Set times are used by default; reset times via op="reset".  A
-    `permutation` used at encode time must be supplied again here.
+    Set times are used by default; reset times via op="reset".
     """
     if op not in ("set", "reset"):
         raise ConfigurationError("op must be 'set' or 'reset'")
@@ -353,7 +316,7 @@ def decode(chip: ChipModel, key: HidingKey, method: str = "kmeans",
         offsets = reference_addresses - key.base_address
         if np.any((offsets >= 0) & (offsets < key.footprint)):
             raise ConfigurationError("reference cells lie inside the footprint")
-    plan = AddressPlan(key, chip.geometry, permutation)
+    plan = AddressPlan(key, chip.geometry)
     trace = chip.measure_trace(plan.addresses)
     times = trace.set_times if op == "set" else trace.reset_times
     means = plan.bit_means(times)

@@ -221,6 +221,14 @@ class TestRandomDelay:
         assert np.any(extra > 0)
         assert np.array_equal(plain.stress_pairs, noisy.stress_pairs)
 
+    def test_delay_flag_is_part_of_equality(self, profile, small_geometry):
+        # The two chips measure differently, so they must not compare equal.
+        plain = rrsim.new_chip(small_geometry, profile, seed=1)
+        noisy = rrsim.new_chip(small_geometry, profile, seed=1,
+                               random_delay_enabled=True)
+        assert plain != noisy
+        assert rrsim.load_state(noisy.save_state(), profile) == noisy
+
 
 class TestTemperature:
     def test_identity_at_25(self, profile, small_geometry):

@@ -59,11 +59,6 @@ class TestKeyGeneration:
             rrsim.generate_key(32, 0, 256, 4, 15_000, rng_seed=1,
                                geometry=small_geometry)
 
-    def test_low_stress_warns(self, profile, small_geometry):
-        with pytest.warns(rrsim.UsedCellsWarning):
-            rrsim.generate_key(32, 0, 256, 1, 2_000, rng_seed=1,
-                               geometry=small_geometry, profile=profile)
-
     def test_key_file_round_trip(self, tmp_path):
         key = rrsim.generate_key(8, 64, 4, 16, 15_000, rng_seed=5)
         path = tmp_path / "k.json"
@@ -268,38 +263,6 @@ class TestDecode:
         # Chance is 0.5; a binomial 4-sigma band around it.
         band = 4 * 0.5 / np.sqrt(trials * bits)
         assert abs(rate - 0.5) < band
-
-
-class TestPermutationHook:
-    def _perm(self, seed):
-        def build(footprint):
-            rng = rng_for(seed)
-            return rng.permutation(footprint)
-        return build
-
-    def test_scrambled_round_trip(self, profile):
-        chip = fresh_chip(profile, seed=501)
-        key = rrsim.HidingKey(0, 32, 1, (0,), 32, 15_000)
-        payload = rrsim.Payload.from_hex("0xECE3038B")
-        rrsim.encode(chip, key, payload, permutation=self._perm(7))
-        got = rrsim.decode(chip, key, permutation=self._perm(7))
-        assert got.payload == payload
-
-    def test_missing_permutation_defeats_decode(self, profile):
-        chip = fresh_chip(profile, seed=502)
-        key = rrsim.HidingKey(0, 32, 1, (0,), 32, 15_000)
-        payload = rrsim.Payload.from_hex("0xECE3038B")
-        rrsim.encode(chip, key, payload, permutation=self._perm(7))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            got = rrsim.decode(chip, key)
-        assert got.payload != payload
-
-    def test_invalid_permutation_rejected(self, profile, small_geometry):
-        key = rrsim.HidingKey(0, 16, 1, (0,), 32, 15_000)
-        with pytest.raises(rrsim.ConfigurationError):
-            rrsim.AddressPlan(key, small_geometry,
-                                 permutation=np.zeros(key.footprint, dtype=int))
 
 
 class TestKMeans:

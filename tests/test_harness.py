@@ -106,7 +106,9 @@ class TestRetentionAndBake:
         lambda chip: chip.bake(chip.profile.temp_rated_max + 1, 3600.0),
         lambda chip: chip.age_retention(-1),
         lambda chip: chip.age_retention(float("nan")),
-        lambda chip: chip.bake(80.0, float("inf"))])
+        lambda chip: chip.bake(80.0, float("inf")),
+        lambda chip: chip.bake(-300.0, 3600.0),
+        lambda chip: chip.bake(float("nan"), 3600.0)])
     def test_refused_aging_changes_nothing(self, chip, refused):
         chip.bake(60.0, 3600.0)
         before = chip.clone()
