@@ -18,7 +18,7 @@ import numpy as np
 from .chip import ChipModel
 from .errors import (ConfigurationError, FitError, NotSeparableError,
                      TruncatedRunWarning, WearOutError)
-from .profile import CalibrationProfile, WearCurve, default_profile
+from .profile import CalibrationProfile, WearCurve, _lognormal, default_profile
 
 # Expected maximum of n i.i.d. standard normals, for turning min/max
 # envelopes of replica means back into a per-sample sigma estimate.
@@ -83,6 +83,11 @@ def characterize(chip: ChipModel, addresses, max_pairs: int,
         raise ConfigurationError("sample_interval must be positive")
 
     bin_size = min(chip.geometry.buffer_size, len(addrs))
+    n_bins = len(addrs) // bin_size  # trailing cells of a partial bin are unused
+
+    def bin_means(times):
+        return times[:n_bins * bin_size].reshape(n_bins, bin_size).mean(axis=1)
+
     records = []
     applied = 0  # pairs applied so far; each measurement applies one
     # max_pairs == 0 takes a single record and needs no interval.
@@ -90,8 +95,9 @@ def characterize(chip: ChipModel, addresses, max_pairs: int,
         for level in [*range(0, max_pairs, max(sample_interval, 1)), max_pairs]:
             if level > applied:
                 chip.apply_stress_pairs(addrs, level - applied)
-            records.append(_record_from_trace(level, chip.measure_trace(addrs),
-                                              bin_size))
+            trace = chip.measure_trace(addrs)
+            records.append(_record(level, bin_means(trace.set_times),
+                                   bin_means(trace.reset_times), bin_size))
             applied = level + 1
     except WearOutError:
         warnings.warn(
@@ -100,20 +106,12 @@ def characterize(chip: ChipModel, addresses, max_pairs: int,
     return records
 
 
-def _record_from_trace(level, trace, bin_size) -> CharacterizationRecord:
-    n_bins = len(trace) // bin_size
-    if n_bins == 0:
-        n_bins, bin_size = 1, len(trace)
-    sets = trace.set_times[:n_bins * bin_size].reshape(n_bins, bin_size).mean(axis=1)
-    resets = trace.reset_times[:n_bins * bin_size].reshape(n_bins, bin_size).mean(axis=1)
-    return CharacterizationRecord(
-        stress_level=level,
-        set_min=float(sets.min()), set_mean=float(sets.mean()),
-        set_max=float(sets.max()),
-        reset_min=float(resets.min()), reset_mean=float(resets.mean()),
-        reset_max=float(resets.max()),
-        replica_size=bin_size, group_count=n_bins,
-    )
+def _record(level, set_means, reset_means, replica_size) -> CharacterizationRecord:
+    """The record of one wear level from its per-group set and reset means."""
+    stats = [float(v) for m in (set_means, reset_means)
+             for v in (m.min(), m.mean(), m.max())]
+    return CharacterizationRecord(int(level), *stats, replica_size=replica_size,
+                                  group_count=len(set_means))
 
 
 def synthesize_records(profile: CalibrationProfile, levels,
@@ -125,22 +123,13 @@ def synthesize_records(profile: CalibrationProfile, levels,
     replica bins at each wear level; used as the fitting oracle.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
-    records = []
-    for s in levels:
-        stats = {}
-        for op in ("set", "reset"):
-            sig = profile.sigma(op)
-            z = rng.standard_normal((group_count, replica_size))
-            means = profile.mean_time(op, s) * np.exp(sig * z - 0.5 * sig * sig).mean(axis=1)
-            stats[op] = (float(means.min()), float(means.mean()), float(means.max()))
-        records.append(CharacterizationRecord(
-            stress_level=int(s),
-            set_min=stats["set"][0], set_mean=stats["set"][1], set_max=stats["set"][2],
-            reset_min=stats["reset"][0], reset_mean=stats["reset"][1],
-            reset_max=stats["reset"][2],
-            replica_size=replica_size, group_count=group_count,
-        ))
-    return records
+
+    def group_means(op, s):
+        noise = _lognormal(profile.sigma(op), rng, (group_count, replica_size))
+        return profile.mean_time(op, s) * noise.mean(axis=1)
+
+    return [_record(s, group_means("set", s), group_means("reset", s), replica_size)
+            for s in levels]
 
 
 def fit_profile(records, template: CalibrationProfile | None = None
@@ -204,16 +193,16 @@ def min_stress_for_separation(profile: CalibrationProfile, replica_size: int,
         raise ConfigurationError("replica_size must be >= 1")
     if confidence_samples < 1:
         raise ConfigurationError("confidence_samples must be >= 1")
+    if grid_step < 1:
+        raise ConfigurationError("grid_step must be >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
     fresh_max = float(profile.sample_replica_means(
         "set", 0, replica_size, confidence_samples, rng).max())
-    s = grid_step
-    while s <= profile.endurance_max:
+    for s in range(grid_step, profile.endurance_max + 1, grid_step):
         stressed = profile.sample_replica_means(
             "set", s, replica_size, confidence_samples, rng)
         if float(stressed.min()) > fresh_max:
             return s
-        s += grid_step
     raise NotSeparableError(
         f"no stress level below {profile.endurance_max} pairs separates "
         f"replica size {replica_size}")

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import os
 import sys
+import typing
 from fractions import Fraction
 
 import numpy as np
@@ -100,9 +102,8 @@ def _grid(text: str) -> list[int]:
 # characterize
 # ---------------------------------------------------------------------------
 
-RECORD_COLUMNS = ("stress_level", "set_min", "set_mean", "set_max",
-                  "reset_min", "reset_mean", "reset_max",
-                  "replica_size", "group_count")
+RECORD_COLUMNS = tuple(f.name for f in dataclasses.fields(CharacterizationRecord))
+_RECORD_TYPES = typing.get_type_hints(CharacterizationRecord)
 
 
 def write_records_csv(path, records, seed: int) -> None:
@@ -110,11 +111,8 @@ def write_records_csv(path, records, seed: int) -> None:
         fh.write(f"# rrsim characterize seed={seed}\n")
         writer = csv.writer(fh)
         writer.writerow(RECORD_COLUMNS)
-        for r in records:
-            writer.writerow([r.stress_level, repr(r.set_min), repr(r.set_mean),
-                             repr(r.set_max), repr(r.reset_min),
-                             repr(r.reset_mean), repr(r.reset_max),
-                             r.replica_size, r.group_count])
+        # csv writes str(value), the shortest repr for a float.
+        writer.writerows([getattr(r, c) for c in RECORD_COLUMNS] for r in records)
 
 
 def read_records_csv(path) -> list[CharacterizationRecord]:
@@ -128,12 +126,8 @@ def read_records_csv(path) -> list[CharacterizationRecord]:
         raise FormatError("not a characterization records CSV")
     try:
         return [CharacterizationRecord(
-            stress_level=int(row["stress_level"]),
-            set_min=float(row["set_min"]), set_mean=float(row["set_mean"]),
-            set_max=float(row["set_max"]), reset_min=float(row["reset_min"]),
-            reset_mean=float(row["reset_mean"]), reset_max=float(row["reset_max"]),
-            replica_size=int(row["replica_size"]),
-            group_count=int(row["group_count"])) for row in reader]
+            **{c: _RECORD_TYPES[c](row[c]) for c in RECORD_COLUMNS})
+            for row in reader]
     except (TypeError, ValueError, csv.Error) as exc:
         # A short row fills its missing fields with None (TypeError).
         raise FormatError(
@@ -161,6 +155,9 @@ def cmd_characterize(args, profile) -> int:
 
 def cmd_hide(args, profile) -> int:
     payload = Payload.from_hex(args.payload, length=args.payload_bits)
+    if min(payload.bits) == max(payload.bits):
+        print(f"warning: every payload bit is {payload.bits[0]}; kmeans cannot "
+              "split it, so retrieve it with --method reference", file=sys.stderr)
     chip = _chip(args, profile, address_count=args.address_count)
     key = generate_key(len(payload), args.base, args.replica_size,
                        args.replicas, args.n_stress, args.seed,

@@ -59,6 +59,8 @@ class Payload:
             raise ConfigurationError(f"not a hex payload: {text!r}")
         value = int(t, 16)
         nbits = length if length is not None else 4 * len(t)
+        if nbits < 1:
+            raise ConfigurationError("payload length must be at least 1 bit")
         if value >= (1 << nbits):
             raise ConfigurationError("payload value does not fit the bit length")
         return cls(tuple((value >> (nbits - 1 - i)) & 1 for i in range(nbits)))

@@ -57,6 +57,17 @@ class WearCurve:
             raise ConfigurationError("wear exponent must be >= 1")
 
 
+def _known_op(op: str) -> str:
+    if op not in ("set", "reset"):
+        raise ConfigurationError(f"unknown operation {op!r} (want 'set' or 'reset')")
+    return op
+
+
+def _lognormal(sig: float, rng, size=None):
+    """Lognormal factors with mean 1 and log-sigma `sig`; a float for no size."""
+    return np.exp(sig * rng.standard_normal(size) - 0.5 * sig * sig)
+
+
 @dataclass(frozen=True)
 class CalibrationProfile:
     """Fitted timing model for one memory part number."""
@@ -108,14 +119,10 @@ class CalibrationProfile:
     # -- mean model ------------------------------------------------------
 
     def curve(self, op: str) -> WearCurve:
-        if op == "set":
-            return self.set_curve
-        if op == "reset":
-            return self.reset_curve
-        raise ConfigurationError(f"unknown operation {op!r} (want 'set' or 'reset')")
+        return self.set_curve if _known_op(op) == "set" else self.reset_curve
 
     def sigma(self, op: str) -> float:
-        return self.set_sigma if op == "set" else self.reset_sigma
+        return self.set_sigma if _known_op(op) == "set" else self.reset_sigma
 
     def mean_time(self, op: str, stress):
         """Deterministic mean switch time at a stress level (pairs)."""
@@ -139,17 +146,13 @@ class CalibrationProfile:
         scale * mean_time(stress).  `scale` folds in the chip speed factor
         and any temperature/aging multipliers.
         """
-        sig = self.sigma(op)
         mean = self.curve(op).mean(np.asarray(stress, dtype=float))
-        noise = np.exp(sig * rng.standard_normal(np.shape(mean)) - 0.5 * sig * sig)
+        noise = _lognormal(self.sigma(op), rng, np.shape(mean))
         return scale * mean * noise
 
     def draw_chip_factor(self, rng) -> float:
         """Per-chip overall speed factor, mean 1."""
-        sig = self.chip_variation
-        if sig == 0.0:
-            return 1.0
-        return float(np.exp(sig * rng.standard_normal() - 0.5 * sig * sig))
+        return float(_lognormal(self.chip_variation, rng))
 
     def sample_replica_means(self, op, stress, replica_size, count, rng):
         """Means of `replica_size` samples at one stress level, `count` draws.
@@ -158,11 +161,8 @@ class CalibrationProfile:
         replica group, so the chip speed factor varies draw to draw while
         per-sample noise averages down with the group size.
         """
-        sig_c = self.chip_variation
-        chip = np.exp(sig_c * rng.standard_normal(count) - 0.5 * sig_c * sig_c)
-        sig = self.sigma(op)
-        z = rng.standard_normal((count, replica_size))
-        samples = np.exp(sig * z - 0.5 * sig * sig).mean(axis=1)
+        chip = _lognormal(self.chip_variation, rng, count)
+        samples = _lognormal(self.sigma(op), rng, (count, replica_size)).mean(axis=1)
         return self.mean_time(op, stress) * chip * samples
 
     # -- persistence -----------------------------------------------------

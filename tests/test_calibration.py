@@ -148,3 +148,9 @@ class TestSeparationThreshold:
             chip_variation=1.0)
         with pytest.raises(rrsim.NotSeparableError):
             rrsim.min_stress_for_separation(noisy, 256, 200, seed=5)
+
+    @pytest.mark.parametrize("step", [0, -5])
+    def test_non_positive_grid_step_refused(self, profile, step):
+        # Such a grid never reaches endurance_max; refused before any draw.
+        with pytest.raises(rrsim.ConfigurationError, match="grid_step"):
+            rrsim.min_stress_for_separation(profile, 256, 10_000, grid_step=step)

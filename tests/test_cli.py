@@ -226,6 +226,33 @@ class TestUsageErrors:
         assert code == cli.EXIT_USAGE
 
 
+def test_negative_payload_bits_is_usage_error(workdir, capsys):
+    code = run(hide_args(workdir, payload="0x5", extra=("--payload-bits", "-1")))
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "at least 1 bit" in err
+    assert not (workdir / "key.json").exists()
+
+
+@pytest.mark.parametrize("payload,bits,warns", [
+    ("0x00000000", None, True),
+    ("0xFFFFFFFF", None, True),
+    ("0x1", "1", True),
+    ("0xECE3038B", None, False),
+])
+def test_hide_warns_on_one_bit_value(workdir, payload, bits, warns):
+    extra = ("--payload-bits", bits) if bits else ()
+    code, out, err = captured(hide_args(workdir, payload=payload, extra=extra))
+    assert code == cli.EXIT_OK
+    assert "warning" not in out
+    if warns:
+        assert err.startswith("warning: every payload bit is ")
+        assert "--method reference" in err and err.count("\n") == 1
+    else:
+        assert err == ""
+    assert (workdir / "key.json").exists() and (workdir / "chip.bin").exists()
+
+
 class TestUnwritableOutput:
     """An output path in a missing directory is a usage error, not a crash."""
 

@@ -31,6 +31,11 @@ class TestPayload:
         p = rrsim.Payload.from_hex("0x5", length=3)
         assert p.bits == (1, 0, 1)
 
+    @pytest.mark.parametrize("length", [0, -1, -64])
+    def test_length_below_one_rejected(self, length):
+        with pytest.raises(rrsim.ConfigurationError, match="at least 1 bit"):
+            rrsim.Payload.from_hex("0x5", length=length)
+
 
 class TestKeyGeneration:
     def test_sixteen_single_address_replicas(self):

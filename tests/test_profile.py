@@ -30,6 +30,12 @@ def test_unknown_op_rejected(profile):
         profile.mean_time("erase", 0)
 
 
+@pytest.mark.parametrize("op", ["bogus", "Set", ""])
+def test_unknown_op_sigma_rejected(profile, op):
+    with pytest.raises(rrsim.ConfigurationError, match="unknown operation"):
+        profile.sigma(op)
+
+
 def test_invalid_curves_rejected():
     with pytest.raises(rrsim.ConfigurationError):
         WearCurve(t0=-1e-6, a=1e-9, p=1.2).validate()
