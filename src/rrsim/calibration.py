@@ -122,6 +122,8 @@ def synthesize_records(profile: CalibrationProfile, levels,
     Models a nominal chip (unit speed factor) measuring `group_count`
     replica bins at each wear level; used as the fitting oracle.
     """
+    if replica_size < 1 or group_count < 1:
+        raise ConfigurationError("replica_size and group_count must be >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
 
     def group_means(op, s):
@@ -150,6 +152,8 @@ def fit_profile(records, template: CalibrationProfile | None = None
         raise FitError("need records at three or more distinct stress levels")
     if levels[0] != 0:
         raise FitError("need a fresh-state (stress 0) record to pin t0")
+    if any(r.group_count < 2 for r in recs):
+        raise FitError("need two or more replica groups per record to fit the sigmas")
 
     curves = {}
     sigmas = {}

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundsError, ConfigurationError, FormatError, WearOutError
-from .profile import CalibrationProfile
+from .profile import CalibrationProfile, default_profile
 
 STATE_MAGIC = b"RRSIM\x01"
 
@@ -31,8 +31,7 @@ STATE_MAGIC = b"RRSIM\x01"
 UNITS_PER_PAIR = 16
 
 _CELL_DTYPE = np.dtype([("stress", "<u4"), ("value", "u1")])
-# Header after the magic: address count, word length, buffer size, seed,
-# simulated clock, temperature, random-delay flag.
+# Header after the magic: the fields of `ChipModel._head`, in order.
 _HEAD_FORMAT = "<QHIqdd?"
 _HEAD_SIZE = struct.calcsize(_HEAD_FORMAT)
 
@@ -134,11 +133,7 @@ class ChipModel:
     def __eq__(self, other):
         if not isinstance(other, ChipModel):
             return NotImplemented
-        return (self.geometry == other.geometry
-                and self.seed == other.seed
-                and self.temperature == other.temperature
-                and self.simulated_clock == other.simulated_clock
-                and self.random_delay_enabled == other.random_delay_enabled
+        return (self._head() == other._head()
                 and np.array_equal(self._units, other._units)
                 and np.array_equal(self._values, other._values))
 
@@ -173,9 +168,7 @@ class ChipModel:
         if not np.all(addrs[1:] > addrs[:-1]):
             raise ConfigurationError("addresses must be strictly increasing")
         first, last = int(addrs[0]), int(addrs[-1])
-        if first < 0 or last >= self.geometry.address_count:
-            raise BoundsError(f"addresses [{first}, {last}] outside chip of "
-                              f"{self.geometry.address_count}")
+        self._check_range(first, last + 1 - first)
         if last - first == len(addrs) - 1:
             return addrs, slice(first, last + 1)
         return addrs, addrs
@@ -381,6 +374,13 @@ class ChipModel:
 
     # -- persistence -------------------------------------------------------
 
+    def _head(self) -> tuple:
+        """The state file's header fields, in file order; equal heads and
+        cells make equal files."""
+        g = self.geometry
+        return (g.address_count, g.word_length, g.buffer_size, self.seed,
+                self.simulated_clock, self.temperature, self.random_delay_enabled)
+
     def save_state(self) -> bytes:
         """Serialize to the versioned little-endian chip-state format.
 
@@ -388,16 +388,7 @@ class ChipModel:
         cast to the uint32 field on assignment) and copied once into the
         returned bytes.
         """
-        head = struct.pack(
-            _HEAD_FORMAT,
-            self.geometry.address_count,
-            self.geometry.word_length,
-            self.geometry.buffer_size,
-            self.seed,
-            self.simulated_clock,
-            self.temperature,
-            self.random_delay_enabled,
-        )
+        head = struct.pack(_HEAD_FORMAT, *self._head())
         cells = np.empty(self.geometry.address_count, dtype=_CELL_DTYPE)
         cells["stress"] = self._units
         cells["value"] = self._values
@@ -420,7 +411,6 @@ def new_chip(geometry: ChipGeometry | None = None,
     if geometry is None:
         geometry = ChipGeometry()
     if profile is None:
-        from .profile import default_profile
         profile = default_profile()
     return ChipModel(geometry, profile, seed, random_delay_enabled)
 
@@ -451,8 +441,9 @@ def load_state(data, profile: CalibrationProfile | None = None) -> ChipModel:
         geometry.validate()
     except ConfigurationError as exc:
         raise FormatError(f"invalid geometry in state file: {exc}") from exc
+    if not 0 <= clock < np.inf:
+        raise FormatError(f"clock in state file must be finite and >= 0, not {clock}")
     if profile is None:
-        from .profile import default_profile
         profile = default_profile()
     # A new chip's 25 C loads even where the rated range leaves it out.
     if temperature != 25.0:

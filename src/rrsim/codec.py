@@ -312,12 +312,13 @@ def decode(chip: ChipModel, key: HidingKey, method: str = "kmeans",
         raise ConfigurationError("kmeans decoding needs at least two payload "
                                  "bits; use the reference method")
     if method == "reference":
-        if reference_addresses is None:
+        if reference_addresses is None or len(reference_addresses) == 0:
             raise ConfigurationError("reference method needs reference addresses")
         reference_addresses = np.asarray(reference_addresses, dtype=np.int64)
         offsets = reference_addresses - key.base_address
         if np.any((offsets >= 0) & (offsets < key.footprint)):
             raise ConfigurationError("reference cells lie inside the footprint")
+        chip.wear_units(reference_addresses)  # the chip's address rule, nothing measured
     plan = AddressPlan(key, chip.geometry)
     trace = chip.measure_trace(plan.addresses)
     times = trace.set_times if op == "set" else trace.reset_times

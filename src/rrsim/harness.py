@@ -13,6 +13,7 @@ import csv
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import ClassVar
 
 import numpy as np
 
@@ -108,16 +109,12 @@ class UsagePattern:
 
     kind: str = "worst_case_toggle"
     # P(bit toggles per write), LSB first; sums to 4 -> 1 pair/cell/cycle.
-    toggle_probs: tuple = (0.80, 0.68, 0.58, 0.50, 0.42, 0.36, 0.34, 0.32)
-    writes_per_cycle: int = 4
+    toggle_probs: ClassVar[tuple] = (0.80, 0.68, 0.58, 0.50, 0.42, 0.36, 0.34, 0.32)
+    writes_per_cycle: ClassVar[int] = 4
 
     def __post_init__(self):
         if self.kind not in ("worst_case_toggle", "realistic_random"):
             raise ConfigurationError(f"unknown usage pattern {self.kind!r}")
-        if len(self.toggle_probs) != 8:
-            raise ConfigurationError("need one toggle probability per bit")
-        if any(not 0 < q <= 1 for q in self.toggle_probs):
-            raise ConfigurationError("toggle probabilities must be in (0, 1]")
 
 
 WORST_CASE = UsagePattern("worst_case_toggle")
@@ -212,9 +209,12 @@ def _scored_decode(chip: ChipModel, key: HidingKey, truth: Payload, op: str,
 # sweeps
 # ---------------------------------------------------------------------------
 
-def sweep_post_hiding(chip_factory, stress_counts, post_grid, op: str = "set",
-                      payload: Payload | None = None, base_address: int = 0,
-                      replica_size: int = 256) -> list[SeparationReport]:
+# The word both aging sweeps hide, at address 0.
+_SWEEP_PAYLOAD = Payload.from_hex("0xECE3038B")
+
+
+def sweep_post_hiding(chip_factory, stress_counts, post_grid, op: str = "set"
+                      ) -> list[SeparationReport]:
     """Age an encoded chip along a post-stress grid and report separation.
 
     For each hiding stress count: one fresh chip is encoded, then every
@@ -222,19 +222,15 @@ def sweep_post_hiding(chip_factory, stress_counts, post_grid, op: str = "set",
     traffic and decodes it, so measurement wear never compounds across
     grid points.
     """
-    if payload is None:
-        payload = Payload.from_hex("0xECE3038B")
     reports = []
     for n in stress_counts:
         chip = chip_factory()
-        key = HidingKey(base_address, replica_size, 1, (0,), len(payload), n)
-        encode(chip, key, payload)
-        region = (key.base_address, key.footprint)
+        key = HidingKey(0, 256, 1, (0,), len(_SWEEP_PAYLOAD), n)
+        encode(chip, key, _SWEEP_PAYLOAD)
         for s in post_grid:
             twin = chip.clone()
-            if s:
-                simulate_usage(twin, WORST_CASE, int(s), region)
-            reports.append(_scored_decode(twin, key, payload, op, int(s)))
+            simulate_usage(twin, WORST_CASE, int(s), (0, key.footprint))
+            reports.append(_scored_decode(twin, key, _SWEEP_PAYLOAD, op, int(s)))
     return reports
 
 
@@ -287,25 +283,21 @@ def min_separable_replica(reports) -> int | None:
 
 
 def sweep_initial_stress(chip_factory, initial_grid, stress_count: int,
-                         ops=("set", "reset"), payload: Payload | None = None,
-                         base_address: int = 0, replica_size: int = 256
+                         ops=("set", "reset"), replica_size: int = 256
                          ) -> list[SeparationReport]:
     """Pre-age the footprint with realistic traffic, then hide and decode."""
-    if payload is None:
-        payload = Payload.from_hex("0xECE3038B")
     reports = []
     for s in initial_grid:
         chip = chip_factory()
-        key = HidingKey(base_address, replica_size, 1, (0,), len(payload),
+        key = HidingKey(0, replica_size, 1, (0,), len(_SWEEP_PAYLOAD),
                         stress_count)
-        region = (key.base_address, key.footprint)
-        if s:
-            simulate_usage(chip, REALISTIC, int(s), region)
+        simulate_usage(chip, REALISTIC, int(s), (0, key.footprint))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UsedCellsWarning)
-            encode(chip, key, payload)
+            encode(chip, key, _SWEEP_PAYLOAD)
         for op in ops:
-            reports.append(_scored_decode(chip.clone(), key, payload, op, int(s)))
+            reports.append(_scored_decode(chip.clone(), key, _SWEEP_PAYLOAD,
+                                          op, int(s)))
     return reports
 
 

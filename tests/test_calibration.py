@@ -101,6 +101,21 @@ class TestFitProfile:
         with pytest.raises(rrsim.FitError):
             rrsim.fit_profile(records)
 
+    def test_single_group_records_rejected(self, profile):
+        # 300 cells make one replica group per level, whose min/max envelope
+        # is empty: the fitted sigmas came out 0.0.
+        chip = fresh_chip(profile, seed=3, addresses=4096)
+        records = rrsim.characterize(chip, np.arange(300), 200_000, 50_000)
+        assert {r.group_count for r in records} == {1}
+        with pytest.raises(rrsim.FitError, match="replica groups"):
+            rrsim.fit_profile(records)
+
+    @pytest.mark.parametrize("shape", [
+        {"group_count": 0}, {"group_count": -1}, {"replica_size": 0}])
+    def test_synthesize_refuses_empty_shapes(self, profile, shape):
+        with pytest.raises(rrsim.ConfigurationError, match="must be >= 1"):
+            synthesize_records(profile, [0, 100_000], **shape)
+
     def test_constant_records_rejected(self, profile):
         rec = synthesize_records(profile, [0], seed=1)[0]
         flat = [rec,

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -85,6 +86,21 @@ class TestHideRetrieve:
         code = run(["retrieve", "--key", str(workdir / "key.json"),
                     "--chip", str(workdir / "chip.bin")])
         assert code == cli.EXIT_FORMAT
+
+    def test_non_finite_clock_is_format_error(self, workdir, capsys):
+        # A NaN clock made every measured time NaN, and kmeans then crashed.
+        run(hide_args(workdir))
+        blob = bytearray((workdir / "chip.bin").read_bytes())
+        struct.pack_into("<d", blob, len(rrsim.chip.STATE_MAGIC)
+                         + struct.calcsize("<QHIq"), float("nan"))
+        (workdir / "chip.bin").write_bytes(blob)
+        capsys.readouterr()
+        code = run(["retrieve", "--key", str(workdir / "key.json"),
+                    "--chip", str(workdir / "chip.bin")])
+        assert code == cli.EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert err.startswith("format error: ") and "clock" in err
+        assert "Traceback" not in err
 
     @pytest.mark.filterwarnings("ignore::rrsim.AmbiguousDecodeWarning")
     def test_tampered_key_ambiguous_decode(self, workdir, capsys):

@@ -387,6 +387,21 @@ class TestReferenceOverlap:
                          reference_addresses=np.arange(first, first + 256))
         assert chip == before
 
+    # Lists that leave the chip, decrease, repeat, or are empty (whose mean
+    # reference time was NaN).
+    @pytest.mark.parametrize("refs, error", [
+        (np.arange(16_300, 16_556), rrsim.BoundsError),
+        (np.arange(-10, 246), rrsim.BoundsError),
+        (np.arange(9000, 8744, -1), rrsim.ConfigurationError),
+        (np.repeat(np.arange(9000, 9128), 2), rrsim.ConfigurationError),
+        (np.arange(0), rrsim.ConfigurationError)])
+    def test_bad_list_refused_before_measuring(self, profile, refs, error):
+        chip, key = self.hidden(profile, 256)
+        before = chip.clone()
+        with pytest.raises(error):
+            rrsim.decode(chip, key, method="reference", reference_addresses=refs)
+        assert chip == before
+
     @pytest.mark.parametrize("first", [0, 256 + 8192])
     def test_cells_next_to_footprint_accepted(self, profile, first):
         chip, key = self.hidden(profile, 256)

@@ -43,6 +43,7 @@ GOLDEN = {
 # Offset of the temperature field: magic, then <QHIqd (count, word length,
 # buffer size, seed, clock).
 TEMPERATURE_OFFSET = len(STATE_MAGIC) + struct.calcsize("<QHIqd")
+CLOCK_OFFSET = TEMPERATURE_OFFSET - struct.calcsize("<d")
 
 
 def sha(data: bytes) -> str:
@@ -151,6 +152,16 @@ def test_load_state_rejects_unrated_temperature(profile, celsius):
         rrsim.load_state(bytes(blob), profile)
 
 
+@pytest.mark.parametrize("clock", [math.nan, math.inf, -1.0])
+def test_load_state_rejects_bad_clock(profile, clock):
+    # A NaN clock made every measured time NaN; no chip runs its clock
+    # backwards or to infinity.
+    blob = bytearray(worn_chip(profile).save_state())
+    struct.pack_into("<d", blob, CLOCK_OFFSET, clock)
+    with pytest.raises(rrsim.FormatError, match="clock"):
+        rrsim.load_state(bytes(blob), profile)
+
+
 @pytest.mark.parametrize("celsius", [-40.0, 85.0])
 def test_load_state_keeps_rated_extremes(profile, celsius):
     chip = worn_chip(profile)
@@ -196,6 +207,40 @@ def test_wear_field_largest_endurance_round_trips(profile):
     with pytest.raises(rrsim.ConfigurationError):
         fresh_chip(profile_with_endurance(profile, top + 1), seed=1,
                    addresses=1024)
+
+
+# -- equality ----------------------------------------------------------------
+
+# One persisted thing changed per entry: chip options, then an operation.
+ONE_CHANGE = {
+    "nothing": ({}, None),
+    "seed": ({"seed": 2}, None),
+    "buffer size": ({"buffer_size": 128}, None),
+    "delay flag": ({"random_delay_enabled": True}, None),
+    "clock": ({}, lambda chip: chip.age_retention(1.0)),
+    "temperature": ({}, lambda chip: chip.set_temperature(40.0)),
+    "one cell's wear": ({}, lambda chip: chip.apply_transitions([7], 1, 0.0)),
+    "one cell's value": ({}, lambda chip: chip.set_values([7], 0x5A)),
+}
+
+
+def chip_with(profile, seed=1, buffer_size=256, random_delay_enabled=False):
+    chip = rrsim.new_chip(rrsim.ChipGeometry(1024, buffer_size=buffer_size),
+                          profile, seed, random_delay_enabled)
+    chip.apply_stress_pairs([3, 4, 9], 5)
+    return chip
+
+
+@pytest.mark.parametrize("what", sorted(ONE_CHANGE))
+def test_equal_chips_write_the_same_state_file(profile, what):
+    options, change = ONE_CHANGE[what]
+    a, b = chip_with(profile), chip_with(profile, **options)
+    if change:
+        change(b)
+    same_file = a.save_state() == b.save_state()
+    assert same_file == (what == "nothing")
+    assert (a == b) == (b == a) == same_file
+    assert rrsim.load_state(b.save_state(), profile) == b
 
 
 # -- allocation budget -------------------------------------------------------
