@@ -30,16 +30,12 @@ _EXPECTED_MAX = {
 
 
 def _expected_range(n: int) -> float:
+    """Expected range of n standard normals, held at the table's ends."""
     keys = sorted(_EXPECTED_MAX)
-    if n <= keys[0]:
-        return 2 * _EXPECTED_MAX[keys[0]]
-    if n >= keys[-1]:
-        return 2 * _EXPECTED_MAX[keys[-1]]
+    n = min(max(n, keys[0]), keys[-1])
     lo = max(k for k in keys if k <= n)
     hi = min(k for k in keys if k >= n)
-    if lo == hi:
-        return 2 * _EXPECTED_MAX[lo]
-    w = (n - lo) / (hi - lo)
+    w = (n - lo) / (hi - lo) if hi > lo else 0.0
     return 2 * ((1 - w) * _EXPECTED_MAX[lo] + w * _EXPECTED_MAX[hi])
 
 

@@ -31,7 +31,7 @@ STATE_MAGIC = b"RRSIM\x01"
 UNITS_PER_PAIR = 16
 
 _CELL_DTYPE = np.dtype([("stress", "<u4"), ("value", "u1")])
-# Header after the magic: the fields of `ChipModel._head`, in order.
+# Header after the magic; `ChipModel._header` packs it.
 _HEAD_FORMAT = "<QHIqdd?"
 _HEAD_SIZE = struct.calcsize(_HEAD_FORMAT)
 
@@ -49,7 +49,7 @@ class ChipGeometry:
     word_length: int = 8
     buffer_size: int = 256
 
-    def validate(self):
+    def __post_init__(self):
         if self.address_count <= 0:
             raise ConfigurationError("address_count must be positive")
         if self.word_length != 8:
@@ -85,17 +85,14 @@ class ChipModel:
 
     def __init__(self, geometry: ChipGeometry, profile: CalibrationProfile,
                  seed: int, random_delay_enabled: bool = False):
-        geometry.validate()
         self._assemble(geometry, profile, seed, random_delay_enabled,
                        np.zeros(geometry.address_count, dtype=np.int64),
                        np.full(geometry.address_count, 0xFF, dtype=np.uint8))
 
     def _assemble(self, geometry, profile, seed, random_delay_enabled,
-                  units, values, chip_factor=None, clock=0.0,
-                  temperature=25.0, bake_log=()):
+                  units, values, clock=0.0, temperature=25.0):
         """Set the chip's whole state around the given cell arrays, which
-        the chip takes over.  `__init__`, `clone` and `load_state` all build
-        here; the chip factor is drawn from the seed unless one is passed."""
+        the chip takes over; the chip factor is drawn from the seed."""
         self._limit = profile.endurance_max * UNITS_PER_PAIR  # most wear a cell may carry
         if self._limit + UNITS_PER_PAIR >= 2**32:
             raise ConfigurationError(
@@ -107,12 +104,11 @@ class ChipModel:
         self.temperature = float(temperature)
         self.simulated_clock = clock
         self.random_delay_enabled = random_delay_enabled
-        self.bake_log = list(bake_log)  # (celsius, seconds), not persisted
+        self.bake_log = []  # (celsius, seconds), not persisted
         # Wear in bit-transition units (16 = one byte set-reset pair).
         self._units = units
         self._values = values
-        self.chip_factor = (profile.draw_chip_factor(self._rng(b"chip-factor"))
-                            if chip_factor is None else chip_factor)
+        self.chip_factor = profile.draw_chip_factor(self._rng(b"chip-factor"))
 
     # -- basic state -------------------------------------------------------
 
@@ -133,17 +129,16 @@ class ChipModel:
     def __eq__(self, other):
         if not isinstance(other, ChipModel):
             return NotImplemented
-        return (self._head() == other._head()
+        return (self._header() == other._header()
                 and np.array_equal(self._units, other._units)
                 and np.array_equal(self._values, other._values))
 
     def clone(self) -> "ChipModel":
-        """Independent copy sharing the (immutable) profile."""
+        """Independent copy sharing the (immutable) geometry and profile."""
         twin = ChipModel.__new__(ChipModel)
-        twin._assemble(self.geometry, self.profile, self.seed,
-                       self.random_delay_enabled, self._units.copy(),
-                       self._values.copy(), self.chip_factor,
-                       self.simulated_clock, self.temperature, self.bake_log)
+        twin.__dict__.update(self.__dict__, _units=self._units.copy(),
+                             _values=self._values.copy(),
+                             bake_log=list(self.bake_log))
         return twin
 
     # -- internals ---------------------------------------------------------
@@ -374,12 +369,14 @@ class ChipModel:
 
     # -- persistence -------------------------------------------------------
 
-    def _head(self) -> tuple:
-        """The state file's header fields, in file order; equal heads and
-        cells make equal files."""
+    def _header(self) -> bytes:
+        """The state file's magic and packed header; equal headers and
+        cells make equal files, so chips compare as their files do."""
         g = self.geometry
-        return (g.address_count, g.word_length, g.buffer_size, self.seed,
-                self.simulated_clock, self.temperature, self.random_delay_enabled)
+        return STATE_MAGIC + struct.pack(
+            _HEAD_FORMAT, g.address_count, g.word_length, g.buffer_size,
+            self.seed, self.simulated_clock, self.temperature,
+            self.random_delay_enabled)
 
     def save_state(self) -> bytes:
         """Serialize to the versioned little-endian chip-state format.
@@ -388,11 +385,10 @@ class ChipModel:
         cast to the uint32 field on assignment) and copied once into the
         returned bytes.
         """
-        head = struct.pack(_HEAD_FORMAT, *self._head())
         cells = np.empty(self.geometry.address_count, dtype=_CELL_DTYPE)
         cells["stress"] = self._units
         cells["value"] = self._values
-        return b"".join((STATE_MAGIC, head, cells))
+        return b"".join((self._header(), cells))
 
 
 def _per_address(addrs: np.ndarray, data, dtype) -> np.ndarray:
@@ -438,7 +434,6 @@ def load_state(data, profile: CalibrationProfile | None = None) -> ChipModel:
             f"have {len(data) - off}")
     try:
         geometry = ChipGeometry(address_count, word_length, buffer_size)
-        geometry.validate()
     except ConfigurationError as exc:
         raise FormatError(f"invalid geometry in state file: {exc}") from exc
     if not 0 <= clock < np.inf:

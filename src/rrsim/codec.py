@@ -7,12 +7,12 @@ bit means with a threshold or a two-cluster split.
 
 Two address layouts are supported behind one plan abstraction:
 
-* block:  replica_count == 1; payload bit i owns `replica_size`
-  consecutive addresses starting at base + i * replica_size.
-* rows:   replica_count > 1; each replica is a row of payload_length
-  groups of `replica_size` consecutive addresses, and the row is stored
-  left-rotated by that replica's secret displacement.  Without the
-  rotation list the groups cannot be reassembled.
+* block:  replica_count == 1; one row of payload_length groups of
+  `replica_size` consecutive addresses, left-rotated by the key's one
+  displacement k: bit i owns base + ((i - k) mod payload_length) * replica_size.
+* rows:   replica_count > 1; one such row per replica, each rotated by
+  its own secret displacement.  Without the rotation list the groups
+  cannot be reassembled.
 """
 
 from __future__ import annotations
@@ -306,8 +306,8 @@ def decode(chip: ChipModel, key: HidingKey, method: str = "kmeans",
         raise ConfigurationError("op must be 'set' or 'reset'")
     if method not in ("kmeans", "threshold", "reference"):
         raise ConfigurationError(f"unknown decode method {method!r}")
-    if method == "threshold" and threshold is None:
-        raise ConfigurationError("threshold method needs a threshold value")
+    if method == "threshold" and (threshold is None or not np.isfinite(threshold)):
+        raise ConfigurationError("threshold method needs a finite threshold value")
     if method == "kmeans" and key.payload_length < 2:
         raise ConfigurationError("kmeans decoding needs at least two payload "
                                  "bits; use the reference method")

@@ -32,6 +32,11 @@ PROFILE_VERSION = 1
 DEFAULT_PROFILE_RESOURCE = "default_mb85as8mt.profile.json"
 
 
+def _real(x) -> bool:
+    """A finite number; JSON's true and false are not numbers here."""
+    return not isinstance(x, bool) and math.isfinite(x)
+
+
 @dataclass(frozen=True)
 class WearCurve:
     """Mean switch time versus accumulated stress: t0 + a * s**p."""
@@ -48,9 +53,9 @@ class WearCurve:
             return float(out)
         return out
 
-    def validate(self):
-        if not all(map(math.isfinite, (self.t0, self.a, self.p))):
-            raise ConfigurationError("wear curve parameters must be finite")
+    def __post_init__(self):
+        if not all(map(_real, (self.t0, self.a, self.p))):
+            raise ConfigurationError("wear curve parameters must be finite numbers")
         if self.t0 <= 0 or self.a <= 0:
             raise ConfigurationError("wear curve times must be positive")
         if self.p < 1:
@@ -90,14 +95,12 @@ class CalibrationProfile:
     bake_drift: float = 0.0       # fractional permanent shift per bake day
 
     def __post_init__(self):
-        self.set_curve.validate()
-        self.reset_curve.validate()
         for name in ("endurance_rated", "endurance_max"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ConfigurationError(f"{name} must be a whole number")
         for f in fields(self)[2:]:  # every number; the curves come first
-            if not math.isfinite(getattr(self, f.name)):
+            if not _real(getattr(self, f.name)):
                 raise ConfigurationError(f"{f.name} must be a finite number")
         if self.set_sigma < 0 or self.reset_sigma < self.set_sigma:
             raise ConfigurationError("need reset_sigma >= set_sigma >= 0")
@@ -178,7 +181,7 @@ class CalibrationProfile:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CalibrationProfile":
-        if d.get("format") != PROFILE_FORMAT:
+        if not isinstance(d, dict) or d.get("format") != PROFILE_FORMAT:
             raise ConfigurationError("not a profile file")
         if d.get("version") != PROFILE_VERSION:
             raise ConfigurationError(f"unsupported profile version {d.get('version')}")

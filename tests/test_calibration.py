@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import rrsim
-from rrsim.calibration import synthesize_records
+from rrsim.calibration import _expected_range, synthesize_records
 from conftest import fresh_chip, rng_for
 
 
@@ -123,6 +123,17 @@ class TestFitProfile:
                 type(rec)(**{**rec.__dict__, "stress_level": 2000})]
         with pytest.raises(rrsim.FitError):
             rrsim.fit_profile(flat)
+
+
+@pytest.mark.parametrize("n, expected", [
+    (8, 2 * 1.4236),                            # a key of the table
+    (9, 1.4236 + 1.5388),                       # halfway from 8 to 10
+    (18, 2 * (0.75 * 1.7660 + 0.25 * 1.9467)),  # a quarter of 16 to 24
+    (1, 2 * 0.5642),                            # held at the lowest key
+    (100, 2 * 2.3384),                          # held at the highest key
+])
+def test_expected_range_interpolates_and_clamps(n, expected):
+    assert _expected_range(n) == pytest.approx(expected, rel=1e-12)
 
 
 class TestSeparationThreshold:

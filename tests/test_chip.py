@@ -29,6 +29,13 @@ class TestConstruction:
         with pytest.raises(rrsim.ConfigurationError):
             rrsim.new_chip(rrsim.ChipGeometry(address_count=0), profile, seed=1)
 
+    @pytest.mark.parametrize("fields", [
+        {"address_count": 0}, {"word_length": 16}, {"buffer_size": 0},
+        {"address_count": 128}])  # buffer of 256 larger than the chip
+    def test_bad_geometry_refused_when_built(self, fields):
+        with pytest.raises(rrsim.ConfigurationError):
+            rrsim.ChipGeometry(**fields)
+
     def test_full_size_chip_constructs_fresh(self, profile):
         chip = rrsim.new_chip(rrsim.ChipGeometry(), profile, seed=42)
         assert len(chip.values) == 1_048_576

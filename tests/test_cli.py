@@ -102,6 +102,38 @@ class TestHideRetrieve:
         assert err.startswith("format error: ") and "clock" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("cut", ["nan", "inf"])
+    def test_non_finite_threshold_is_usage_error(self, workdir, capsys, cut):
+        # It printed payload 0x00 and a NaN confidence after measuring.
+        run(hide_args(workdir))
+        capsys.readouterr()
+        code = run(["retrieve", "--key", str(workdir / "key.json"),
+                    "--chip", str(workdir / "chip.bin"),
+                    "--method", f"threshold:{cut}",
+                    "--chip-out", str(workdir / "after.bin")])
+        assert code == cli.EXIT_USAGE
+        assert "finite threshold" in capsys.readouterr().err
+        assert not (workdir / "after.bin").exists()
+
+    @pytest.mark.parametrize("text", ["[1]", "\"x\"", "7"])
+    def test_non_object_profile_is_usage_error(self, workdir, capsys, text):
+        (workdir / "p.json").write_text(text)
+        code = run(hide_args(workdir, extra=("--profile", str(workdir / "p.json"))))
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (workdir / "key.json").exists()
+
+    def test_wear_out_exits_5_and_writes_nothing(self, workdir, capsys):
+        code = run(["hide", "--payload", "0xAB",
+                    "--key-out", str(workdir / "key.json"),
+                    "--chip-out", str(workdir / "chip.bin"),
+                    "--n-stress", "2000000", "--address-count", "4096"])
+        assert code == cli.EXIT_WEAR_OUT
+        assert capsys.readouterr().err.startswith("wear-out: ")
+        assert not (workdir / "key.json").exists()
+        assert not (workdir / "chip.bin").exists()
+
     @pytest.mark.filterwarnings("ignore::rrsim.AmbiguousDecodeWarning")
     def test_tampered_key_ambiguous_decode(self, workdir, capsys):
         # Point the key at untouched fresh cells: no signal to cluster.
@@ -161,6 +193,12 @@ class TestRecordsCsv:
         with pytest.raises(rrsim.FormatError):
             cli.read_records_csv(workdir / "rec.csv")
 
+    def test_wrong_header_is_format_error(self, workdir):
+        header = self.HEADER.replace("set_min", "set_low")
+        (workdir / "rec.csv").write_text(f"{header}\n0,1,1,1,2,2,2,256,8\n")
+        with pytest.raises(rrsim.FormatError, match="not a characterization"):
+            cli.read_records_csv(workdir / "rec.csv")
+
 
 class TestAttackAndSweep:
     def test_attack_wrong_base(self, workdir, capsys):
@@ -199,6 +237,13 @@ class TestAttackAndSweep:
                 if ln and not ln.startswith("#")]
         assert rows == \
             ["sweep_id,N,post_stress,op,replica_size,min_distance_s,ber,errors"]
+
+    @pytest.mark.parametrize("grid", ["1:2", "5:1:1", "a,b"])
+    def test_bad_grid_is_usage_error(self, workdir, grid):
+        code = run(["sweep", "--kind", "initial-stress", "--grid", grid,
+                    "--out", str(workdir / "bad.csv"),
+                    "--address-count", "16384", "--seed", "4"])
+        assert code == cli.EXIT_USAGE
 
     def test_sweep_rerun_byte_identical(self, workdir):
         args = ["sweep", "--kind", "post-hiding", "--n-list", "15000",

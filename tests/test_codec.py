@@ -363,10 +363,18 @@ class TestKeyFieldTypes:
         with pytest.raises(rrsim.FormatError, match="rotations"):
             rrsim.HidingKey.from_json(self._text(rotations=rotations))
 
-    @pytest.mark.parametrize("text", ["[1, 2]", "\"rrsim-key\"", "7"])
+    @pytest.mark.parametrize("text", ["[1, 2]", "\"rrsim-key\"", "7", "{not json"])
     def test_non_object_json_rejected(self, text):
         with pytest.raises(rrsim.FormatError):
             rrsim.HidingKey.from_json(text)
+
+    @pytest.mark.parametrize("changes, match", [
+        ({"version": 2}, "version"),
+        # replica_count 2 makes a rows key.
+        ({"layout_mode": "block"}, "layout_mode")])
+    def test_header_disagreement_rejected(self, changes, match):
+        with pytest.raises(rrsim.FormatError, match=match):
+            rrsim.HidingKey.from_json(self._text(**changes))
 
 
 class TestReferenceOverlap:
@@ -415,7 +423,9 @@ class TestDecodeArgumentsCheckedFirst:
 
     @pytest.mark.parametrize("kwargs", [
         {"method": "magic"}, {"method": "threshold"},
-        {"method": "reference"}, {"op": "both"}])
+        {"method": "reference"}, {"op": "both"},
+        {"method": "threshold", "threshold": float("nan")},
+        {"method": "threshold", "threshold": float("inf")}])
     def test_refused_before_measuring(self, profile, kwargs):
         chip = fresh_chip(profile, seed=3)
         key = rrsim.HidingKey(0, 256, 1, (0,), 32, 15_000)

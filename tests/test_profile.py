@@ -38,9 +38,9 @@ def test_unknown_op_sigma_rejected(profile, op):
 
 def test_invalid_curves_rejected():
     with pytest.raises(rrsim.ConfigurationError):
-        WearCurve(t0=-1e-6, a=1e-9, p=1.2).validate()
+        WearCurve(t0=-1e-6, a=1e-9, p=1.2)
     with pytest.raises(rrsim.ConfigurationError):
-        WearCurve(t0=1e-6, a=1e-9, p=0.5).validate()
+        WearCurve(t0=1e-6, a=1e-9, p=0.5)
 
 
 def test_sigma_ordering_enforced(profile):
@@ -72,8 +72,18 @@ def test_endurance_ordering_enforced(profile):
     (("pair_time",), float("inf")),
     # 1 - 0.02 * (85 - 25) < 0: negative set times at the rated maximum.
     (("temp_coeff",), -0.02),
+    # JSON booleans are not numbers, though Python counts True as 1.
+    (("set_sigma",), True),
+    (("noop_time",), True),
+    (("temp_rated_min",), True),
+    (("set_curve", "t0"), True),
+    (("set_curve", "p"), True),
+    (("version",), 2),
+    (("speed",), 2.0),  # a field the profile does not have
 ], ids=["nan-curve", "fractional-endurance", "boolean-endurance",
-        "infinite-time", "negative-temp-factor"])
+        "infinite-time", "negative-temp-factor", "boolean-sigma",
+        "boolean-time", "boolean-temperature", "boolean-curve-t0",
+        "boolean-curve-p", "version-2", "unknown-field"])
 def test_values_that_break_the_model_rejected(profile, path, value):
     d = profile.to_dict()
     *parents, name = path
@@ -118,6 +128,14 @@ def test_bad_json_rejected(tmp_path):
     with pytest.raises(rrsim.ConfigurationError):
         rrsim.load_profile(path)
     path.write_text("not json at all")
+    with pytest.raises(rrsim.ConfigurationError):
+        rrsim.load_profile(path)
+
+
+@pytest.mark.parametrize("text", ["[1]", "\"x\"", "7"])
+def test_non_object_json_rejected(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
     with pytest.raises(rrsim.ConfigurationError):
         rrsim.load_profile(path)
 

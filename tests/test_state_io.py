@@ -44,6 +44,8 @@ GOLDEN = {
 # buffer size, seed, clock).
 TEMPERATURE_OFFSET = len(STATE_MAGIC) + struct.calcsize("<QHIqd")
 CLOCK_OFFSET = TEMPERATURE_OFFSET - struct.calcsize("<d")
+WORD_LENGTH_OFFSET = len(STATE_MAGIC) + struct.calcsize("<Q")
+BUFFER_SIZE_OFFSET = len(STATE_MAGIC) + struct.calcsize("<QH")
 
 
 def sha(data: bytes) -> str:
@@ -162,6 +164,15 @@ def test_load_state_rejects_bad_clock(profile, clock):
         rrsim.load_state(bytes(blob), profile)
 
 
+@pytest.mark.parametrize("fmt, offset, value", [
+    ("<H", WORD_LENGTH_OFFSET, 16), ("<I", BUFFER_SIZE_OFFSET, 0)])
+def test_load_state_rejects_bad_geometry(profile, fmt, offset, value):
+    blob = bytearray(worn_chip(profile).save_state())
+    struct.pack_into(fmt, blob, offset, value)
+    with pytest.raises(rrsim.FormatError, match="geometry"):
+        rrsim.load_state(bytes(blob), profile)
+
+
 @pytest.mark.parametrize("celsius", [-40.0, 85.0])
 def test_load_state_keeps_rated_extremes(profile, celsius):
     chip = worn_chip(profile)
@@ -241,6 +252,20 @@ def test_equal_chips_write_the_same_state_file(profile, what):
     assert same_file == (what == "nothing")
     assert (a == b) == (b == a) == same_file
     assert rrsim.load_state(b.save_state(), profile) == b
+
+
+def test_signed_zeros_are_different_chips(profile):
+    # 0.0 and -0.0 are equal floats but different state-file bytes.
+    a, b = chip_with(profile), chip_with(profile)
+    a.set_temperature(0.0)
+    b.set_temperature(-0.0)
+    fresh = rrsim.new_chip(rrsim.ChipGeometry(1024), profile, 1)
+    blob = bytearray(fresh.save_state())
+    struct.pack_into("<d", blob, CLOCK_OFFSET, -0.0)
+    negative_clock = rrsim.load_state(bytes(blob), profile)
+    for x, y in ((a, b), (fresh, negative_clock)):
+        assert x.save_state() != y.save_state()
+        assert x != y and y != x
 
 
 # -- allocation budget -------------------------------------------------------
