@@ -189,10 +189,6 @@ def min_stress_for_separation(profile: CalibrationProfile, replica_size: int,
     sample).  Raises NotSeparableError if no level under the endurance
     limit qualifies.
     """
-    if replica_size < 1:
-        raise ConfigurationError("replica_size must be >= 1")
-    if confidence_samples < 1:
-        raise ConfigurationError("confidence_samples must be >= 1")
     if grid_step < 1:
         raise ConfigurationError("grid_step must be >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -69,8 +69,16 @@ def _known_op(op: str) -> str:
 
 
 def _lognormal(sig: float, rng, size=None):
-    """Lognormal factors with mean 1 and log-sigma `sig`; a float for no size."""
-    return np.exp(sig * rng.standard_normal(size) - 0.5 * sig * sig)
+    """Lognormal factors with mean 1 and log-sigma `sig`; a float for no size.
+
+    The transform runs in the normal draw's own buffer, so a large draw
+    allocates (and faults in) one array rather than three.
+    """
+    z = np.asarray(rng.standard_normal(size))
+    np.multiply(z, sig, out=z)
+    np.subtract(z, 0.5 * sig * sig, out=z)
+    np.exp(z, out=z)
+    return z[()]
 
 
 @dataclass(frozen=True)
@@ -164,6 +172,10 @@ class CalibrationProfile:
         replica group, so the chip speed factor varies draw to draw while
         per-sample noise averages down with the group size.
         """
+        if replica_size < 1 or count < 1:
+            raise ConfigurationError("replica_size and count must be >= 1")
+        if not _real(stress) or stress < 0:
+            raise ConfigurationError(f"stress must be a finite number >= 0, got {stress}")
         chip = _lognormal(self.chip_variation, rng, count)
         samples = _lognormal(self.sigma(op), rng, (count, replica_size)).mean(axis=1)
         return self.mean_time(op, stress) * chip * samples

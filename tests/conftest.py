@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -27,3 +29,15 @@ def fresh_chip(profile, seed, addresses=16384):
 
 def rng_for(seed):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def traced_peak(fn):
+    """Peak traced bytes above those allocated when `fn` starts."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()

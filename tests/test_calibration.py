@@ -175,6 +175,11 @@ class TestSeparationThreshold:
         with pytest.raises(rrsim.NotSeparableError):
             rrsim.min_stress_for_separation(noisy, 256, 200, seed=5)
 
+    @pytest.mark.parametrize("replica,samples", [(0, 100), (256, 0), (-1, -1)])
+    def test_empty_draws_refused(self, profile, replica, samples):
+        with pytest.raises(rrsim.ConfigurationError, match=">= 1"):
+            rrsim.min_stress_for_separation(profile, replica, samples)
+
     @pytest.mark.parametrize("step", [0, -5])
     def test_non_positive_grid_step_refused(self, profile, step):
         # Such a grid never reaches endurance_max; refused before any draw.

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import rrsim
-from rrsim.profile import CalibrationProfile, WearCurve
-from conftest import rng_for
+from rrsim.profile import CalibrationProfile, WearCurve, _lognormal
+from conftest import rng_for, traced_peak
 
 
 def test_default_profile_anchors(profile):
@@ -113,6 +113,48 @@ def test_chip_factor_mean_one(profile):
     rng = rng_for(7)
     factors = np.array([profile.draw_chip_factor(rng) for _ in range(20_000)])
     assert factors.mean() == pytest.approx(1.0, abs=0.01)
+
+
+@pytest.mark.parametrize("size", [None, (), (7,), (3, 5), (2000, 256)])
+@pytest.mark.parametrize("sig", [0.0, 0.64, 1.05])
+def test_lognormal_matches_out_of_place_oracle(size, sig):
+    # The draw transforms its normals in place; the oracle allocates anew.
+    z = rng_for(13).standard_normal(size)
+    oracle = np.exp(sig * z - 0.5 * sig * sig)
+    got = _lognormal(sig, rng_for(13), size)
+    assert np.array_equal(got, oracle)
+    assert type(got) is type(oracle)
+
+
+def test_draw_return_types(profile):
+    assert type(profile.draw_chip_factor(rng_for(14))) is float
+    assert type(profile.sample_times("set", 15_000, rng_for(15))) is np.float64
+
+
+def test_replica_means_allocation_budget(profile):
+    # One 2000 x 256 float64 draw is the whole working set: no temporaries.
+    rng = rng_for(16)
+    means, peak = traced_peak(
+        lambda: profile.sample_replica_means("set", 12_000, 256, 2000, rng))
+    assert means.shape == (2000,)
+    assert peak <= 2000 * 256 * 8 + 64 * 1024
+
+
+@pytest.mark.parametrize("args,match", [
+    (("set", 0, 0, 100), "replica_size"),
+    (("set", 0, -3, 100), "replica_size"),
+    (("set", 0, 256, 0), "count"),
+    (("set", 0, 256, -1), "count"),
+    (("set", -5, 256, 100), "stress"),
+    (("reset", float("nan"), 256, 100), "stress"),
+    (("reset", float("inf"), 256, 100), "stress"),
+])
+def test_replica_means_bad_arguments_refused_before_drawing(profile, args, match):
+    rng = rng_for(17)
+    before = rng.bit_generator.state
+    with pytest.raises(rrsim.ConfigurationError, match=match):
+        profile.sample_replica_means(*args, rng)
+    assert rng.bit_generator.state == before
 
 
 def test_json_round_trip(profile, tmp_path):

@@ -114,6 +114,13 @@ def test_min_stress(profile):
         k: GOLDEN[k] for k in got}
 
 
+@pytest.mark.parametrize("seed,stress", [(0, 11_000), (2, 12_000), (5, 9_000)])
+def test_min_stress_calibrate_shape(profile, seed, stress):
+    # The call `calibrate` makes per fitted part: 2000 x 256 replica draws.
+    assert rrsim.min_stress_for_separation(
+        profile, 256, confidence_samples=2000, seed=seed) == stress
+
+
 @pytest.mark.parametrize("count", [1000, 300, 3])
 def test_characterize(profile, count):
     # None of these counts is a multiple of the 256-cell write buffer.

@@ -11,7 +11,6 @@ import hashlib
 import io
 import math
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ import pytest
 import rrsim
 from rrsim import cli
 from rrsim.chip import STATE_MAGIC, UNITS_PER_PAIR
-from conftest import fresh_chip
+from conftest import fresh_chip, traced_peak
 
 PAYLOAD = "0xECE3038B"
 FULL_CHIP = 1_048_576
@@ -269,18 +268,6 @@ def test_signed_zeros_are_different_chips(profile):
 
 
 # -- allocation budget -------------------------------------------------------
-
-def traced_peak(fn):
-    """Peak traced bytes above those allocated when `fn` starts."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        result = fn()
-        return result, tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
 
 def test_state_io_allocation_budget(profile):
     chip = fresh_chip(profile, seed=5, addresses=FULL_CHIP)
