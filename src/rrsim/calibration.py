@@ -17,7 +17,7 @@ import numpy as np
 
 from .chip import ChipModel
 from .errors import (ConfigurationError, FitError, NotSeparableError,
-                     TruncatedRunWarning, WearOutError)
+                     TruncatedRunWarning, WearOutError, whole)
 from .profile import CalibrationProfile, WearCurve, _lognormal, default_profile
 
 # Expected maximum of n i.i.d. standard normals, for turning min/max
@@ -70,13 +70,12 @@ def characterize(chip: ChipModel, addresses, max_pairs: int,
     toward the next level.  If the cells hit the endurance limit mid-run
     the record list is truncated and a TruncatedRunWarning is emitted.
     """
-    addrs = np.asarray(addresses, dtype=np.int64)
+    addrs = np.asarray(addresses)  # the chip's address rule refuses non-integers
     if len(addrs) == 0:
         raise ConfigurationError("need at least one address to characterize")
-    if max_pairs < 0 or max_pairs > chip.profile.endurance_max:
-        raise ConfigurationError("max_pairs must lie within the endurance limit")
-    if max_pairs > 0 and sample_interval <= 0:
-        raise ConfigurationError("sample_interval must be positive")
+    whole("max_pairs", max_pairs, 0, chip.profile.endurance_max)
+    # max_pairs == 0 takes a single record and needs no interval.
+    whole("sample_interval", sample_interval, 1 if max_pairs else None)
 
     bin_size = min(chip.geometry.buffer_size, len(addrs))
     n_bins = len(addrs) // bin_size  # trailing cells of a partial bin are unused
@@ -86,7 +85,6 @@ def characterize(chip: ChipModel, addresses, max_pairs: int,
 
     records = []
     applied = 0  # pairs applied so far; each measurement applies one
-    # max_pairs == 0 takes a single record and needs no interval.
     try:
         for level in [*range(0, max_pairs, max(sample_interval, 1)), max_pairs]:
             if level > applied:
@@ -106,8 +104,8 @@ def _record(level, set_means, reset_means, replica_size) -> CharacterizationReco
     """The record of one wear level from its per-group set and reset means."""
     stats = [float(v) for m in (set_means, reset_means)
              for v in (m.min(), m.mean(), m.max())]
-    return CharacterizationRecord(int(level), *stats, replica_size=replica_size,
-                                  group_count=len(set_means))
+    return CharacterizationRecord(int(whole("stress level", level)), *stats,
+                                  replica_size=replica_size, group_count=len(set_means))
 
 
 def synthesize_records(profile: CalibrationProfile, levels,
@@ -118,12 +116,12 @@ def synthesize_records(profile: CalibrationProfile, levels,
     Models a nominal chip (unit speed factor) measuring `group_count`
     replica bins at each wear level; used as the fitting oracle.
     """
-    if replica_size < 1 or group_count < 1:
-        raise ConfigurationError("replica_size and group_count must be >= 1")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    shape = (whole("group_count", group_count, 1),
+             whole("replica_size", replica_size, 1))
+    rng = np.random.Generator(np.random.PCG64(whole("seed", seed)))
 
     def group_means(op, s):
-        noise = _lognormal(profile.sigma(op), rng, (group_count, replica_size))
+        noise = _lognormal(profile.sigma(op), rng, shape)
         return profile.mean_time(op, s) * noise.mean(axis=1)
 
     return [_record(s, group_means("set", s), group_means("reset", s), replica_size)
@@ -189,9 +187,8 @@ def min_stress_for_separation(profile: CalibrationProfile, replica_size: int,
     sample).  Raises NotSeparableError if no level under the endurance
     limit qualifies.
     """
-    if grid_step < 1:
-        raise ConfigurationError("grid_step must be >= 1")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    whole("grid_step", grid_step, 1)
+    rng = np.random.Generator(np.random.PCG64(whole("seed", seed)))
     fresh_max = float(profile.sample_replica_means(
         "set", 0, replica_size, confidence_samples, rng).max())
     for s in range(grid_step, profile.endurance_max + 1, grid_step):

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundsError, ConfigurationError, FormatError, WearOutError
+from .errors import (BoundsError, ConfigurationError, FormatError, WearOutError,
+                     amount, whole)
 from .profile import CalibrationProfile, default_profile
 
 STATE_MAGIC = b"RRSIM\x01"
@@ -50,12 +51,10 @@ class ChipGeometry:
     buffer_size: int = 256
 
     def __post_init__(self):
-        if self.address_count <= 0:
-            raise ConfigurationError("address_count must be positive")
-        if self.word_length != 8:
+        whole("address_count", self.address_count, 1)
+        if whole("word_length", self.word_length) != 8:
             raise ConfigurationError("only 8-bit words are supported")
-        if not 0 < self.buffer_size <= self.address_count:
-            raise ConfigurationError("buffer_size must fit the chip")
+        whole("buffer_size", self.buffer_size, 1, self.address_count)
 
 
 @dataclass
@@ -100,7 +99,7 @@ class ChipModel:
                 f"file's uint32 wear field")
         self.geometry = geometry
         self.profile = profile
-        self.seed = int(seed)
+        self.seed = int(whole("seed", seed, -2**63, 2**63 - 1))  # the header's int64
         self.temperature = float(temperature)
         self.simulated_clock = clock
         self.random_delay_enabled = random_delay_enabled
@@ -144,7 +143,7 @@ class ChipModel:
     # -- internals ---------------------------------------------------------
 
     def _check_range(self, base: int, count: int):
-        if base < 0 or base + count > self.geometry.address_count:
+        if whole("address", base, None) < 0 or base + count > self.geometry.address_count:
             raise BoundsError(
                 f"addresses [{base}, {base + count}) outside chip of "
                 f"{self.geometry.address_count}")
@@ -152,12 +151,15 @@ class ChipModel:
     def _index(self, addresses):
         """The address list as int64 and the index selecting its cells.
 
-        Refuses a list that is not strictly increasing (ConfigurationError)
-        or that leaves the chip (BoundsError).  A contiguous run is indexed
-        by a slice, which reads and writes the cell arrays without a gather
-        or scatter.
+        Refuses a list of non-integers or one that is not strictly
+        increasing (ConfigurationError), or one that leaves the chip
+        (BoundsError).  A contiguous run is indexed by a slice, which reads
+        and writes the cell arrays without a gather or scatter.
         """
-        addrs = np.asarray(addresses, dtype=np.int64)
+        addrs = np.asarray(addresses)
+        if addrs.size and addrs.dtype.kind not in "iu":
+            raise ConfigurationError("addresses must be whole numbers")
+        addrs = addrs.astype(np.int64, copy=False)
         if len(addrs) == 0:
             return addrs, addrs
         if not np.all(addrs[1:] > addrs[:-1]):
@@ -212,8 +214,7 @@ class ChipModel:
         cell's current wear.  Each toggled bit adds half a bit-pair of wear.
         """
         self._check_range(address, 1)
-        if not 0 <= value <= 0xFF:
-            raise ConfigurationError("value must be one byte")
+        whole("value", value, 0, 0xFF)
         old = int(self._values[address])
         toggled = old ^ value
         if toggled == 0:
@@ -273,9 +274,7 @@ class ChipModel:
         Addresses must be strictly increasing and inside the chip.
         """
         addrs, cells = self._index(addresses)
-        if pairs < 0:
-            raise ConfigurationError("pairs must be >= 0")
-        if len(addrs) == 0 or pairs == 0:
+        if whole("pairs", pairs) == 0 or len(addrs) == 0:
             return 0.0
         self._check_wear(addrs, self._units[cells] + pairs * UNITS_PER_PAIR)
         commands = self._buffer_span_count(addrs)
@@ -296,23 +295,20 @@ class ChipModel:
 
         Backdoor for bulk traffic generators that compute their own toggle
         statistics.  Addresses must be strictly increasing and inside the
-        chip; counts (one, or one per address) and seconds must not be
-        negative; wear limits hold, and nothing is applied on failure.
+        chip; counts (one, or one per address) are whole, seconds finite,
+        and neither negative; wear limits hold and nothing is applied on failure.
         """
         addrs, cells = self._index(addresses)
-        units = _per_address(addrs, transitions, np.int64)
-        if seconds < 0 or np.any(units < 0):
-            raise ConfigurationError(
-                "transition counts and seconds must not be negative")
+        units = _per_address("transitions", addrs, transitions, np.int64)
         self._check_wear(addrs, self._units[cells] + units)
-        self._commit(seconds, cells, units)
+        self._commit(amount("seconds", seconds), cells, units)
 
     def set_values(self, addresses, values) -> None:
         """Overwrite stored bytes without timing or wear (traffic
         bookkeeping) at strictly increasing addresses inside the chip;
         `values` is one byte or one per address."""
         addrs, cells = self._index(addresses)
-        self._values[cells] = _per_address(addrs, values, np.uint8)
+        self._values[cells] = _per_address("values", addrs, values, np.uint8)
 
     def derive_rng(self, tag: bytes, *parts) -> np.random.Generator:
         """Deterministic generator tied to this chip's seed and the call data."""
@@ -357,9 +353,7 @@ class ChipModel:
 
     def age_retention(self, duration: float) -> None:
         """Advance the simulated calendar; the default profile drifts nothing."""
-        if not 0 <= duration < np.inf:
-            raise ConfigurationError("duration must be finite and >= 0")
-        self._commit(duration)
+        self._commit(amount("duration", duration))
 
     def bake(self, celsius: float, duration: float) -> None:
         """Age the chip by a thermal soak and log it; drift only if the profile says so."""
@@ -391,12 +385,16 @@ class ChipModel:
         return b"".join((self._header(), cells))
 
 
-def _per_address(addrs: np.ndarray, data, dtype) -> np.ndarray:
-    """`data` as a `dtype` array: one scalar or one entry per address."""
-    arr = np.asarray(data, dtype=dtype)
+def _per_address(name: str, addrs: np.ndarray, data, dtype) -> np.ndarray:
+    """`data` as a `dtype` array: one whole number or one per address, each
+    between 0 and the dtype's maximum; floats are refused, not truncated."""
+    arr = np.asarray(data)
     if arr.ndim and arr.shape != addrs.shape:
         raise ConfigurationError(f"need one value or one per address, not {arr.shape}")
-    return arr
+    top = np.iinfo(dtype).max
+    if arr.size and (arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() > top):
+        raise ConfigurationError(f"{name} must be whole numbers in [0, {top}]")
+    return arr.astype(dtype, copy=False)
 
 
 def new_chip(geometry: ChipGeometry | None = None,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .chip import UNITS_PER_PAIR, ChipGeometry, ChipModel
 from .errors import (AmbiguousDecodeWarning, ConfigurationError, EncodeError,
-                     FormatError, UsedCellsWarning, WearOutError)
+                     FormatError, UsedCellsWarning, WearOutError, whole)
 
 KEY_FORMAT = "rrsim-key"
 KEY_VERSION = 1
@@ -103,18 +103,16 @@ class HidingKey:
     stress_count: int
 
     def __post_init__(self):
-        if self.payload_length < 1:
-            raise ConfigurationError("payload_length must be >= 1")
-        if self.replica_size < 1 or self.replica_count < 1:
-            raise ConfigurationError("replica size and count must be >= 1")
-        if self.base_address < 0:
-            raise ConfigurationError("base_address must be >= 0")
-        if self.stress_count < 0:
-            raise ConfigurationError("stress_count must be >= 0")
+        # A float or bool field would select the wrong cells.
+        whole("base_address", self.base_address)
+        whole("replica_size", self.replica_size, 1)
+        whole("replica_count", self.replica_count, 1)
+        whole("payload_length", self.payload_length, 1)
+        whole("stress_count", self.stress_count)
+        for k in self.rotations:
+            whole("rotations", k, 0, self.payload_length - 1)
         if len(self.rotations) != self.replica_count:
             raise ConfigurationError("need one rotation per replica")
-        if any(not 0 <= k < self.payload_length for k in self.rotations):
-            raise ConfigurationError("rotations must lie in [0, payload_length)")
 
     @property
     def layout_mode(self) -> str:
@@ -147,14 +145,6 @@ class HidingKey:
             raise FormatError("not a hiding-key file")
         if d.get("version") != KEY_VERSION:
             raise FormatError(f"unsupported key version {d.get('version')}")
-        # JSON floats and booleans would otherwise pass as integers and
-        # select the wrong cells.
-        for name in _KEY_INT_FIELDS:
-            if name in d and not _is_json_int(d[name]):
-                raise FormatError(f"malformed key file: {name} must be an integer")
-        if "rotations" in d and not (isinstance(d["rotations"], list)
-                                     and all(map(_is_json_int, d["rotations"]))):
-            raise FormatError("malformed key file: rotations must be a list of integers")
         try:
             key = cls(
                 base_address=d["base_address"],
@@ -171,22 +161,15 @@ class HidingKey:
         return key
 
 
-_KEY_INT_FIELDS = ("base_address", "replica_size", "replica_count",
-                   "payload_length", "stress_count")
-
-
-def _is_json_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def generate_key(payload_length: int, base_address: int, replica_size: int,
                  replica_count: int, stress_count: int, rng_seed: int,
                  geometry: ChipGeometry | None = None) -> HidingKey:
     """Draw a fresh key with uniform i.i.d. per-replica rotations."""
-    rng = np.random.Generator(np.random.PCG64(rng_seed))
-    rotations = tuple(int(k) for k in rng.integers(0, payload_length, replica_count))
-    key = HidingKey(base_address, replica_size, replica_count, rotations,
-                    payload_length, stress_count)
+    rng = np.random.Generator(np.random.PCG64(whole("rng_seed", rng_seed)))
+    draws = rng.integers(0, whole("payload_length", payload_length, 1),
+                         whole("replica_count", replica_count, 1))
+    key = HidingKey(base_address, replica_size, replica_count,
+                    tuple(int(k) for k in draws), payload_length, stress_count)
     _check_fits(key, ChipGeometry() if geometry is None else geometry)
     return key
 
@@ -308,13 +291,12 @@ def decode(chip: ChipModel, key: HidingKey, method: str = "kmeans",
         raise ConfigurationError(f"unknown decode method {method!r}")
     if method == "threshold" and (threshold is None or not np.isfinite(threshold)):
         raise ConfigurationError("threshold method needs a finite threshold value")
-    if method == "kmeans" and key.payload_length < 2:
-        raise ConfigurationError("kmeans decoding needs at least two payload "
-                                 "bits; use the reference method")
+    if method == "kmeans":
+        _check_kmeans(key)
     if method == "reference":
         if reference_addresses is None or len(reference_addresses) == 0:
             raise ConfigurationError("reference method needs reference addresses")
-        reference_addresses = np.asarray(reference_addresses, dtype=np.int64)
+        reference_addresses = np.asarray(reference_addresses)
         offsets = reference_addresses - key.base_address
         if np.any((offsets >= 0) & (offsets < key.footprint)):
             raise ConfigurationError("reference cells lie inside the footprint")
@@ -353,6 +335,12 @@ def decode(chip: ChipModel, key: HidingKey, method: str = "kmeans",
         ambiguous=ambiguous,
         op=op,
     )
+
+
+def _check_kmeans(key: HidingKey) -> None:
+    if key.payload_length < 2:
+        raise ConfigurationError("kmeans decoding needs at least two payload "
+                                 "bits; use the reference method")
 
 
 def _is_ambiguous(means, labels, c0, c1) -> bool:
@@ -453,7 +441,7 @@ def strip_ecc(payload: Payload, k: int) -> Payload:
 
 
 def _check_repetition(k: int):
-    if k < 1 or k % 2 == 0:
+    if whole("repetition factor", k, 1) % 2 == 0:
         raise ConfigurationError("repetition factor must be odd and >= 1")
 
 

@@ -1,4 +1,6 @@
-"""Exception and warning types shared across the simulator."""
+"""Exception and warning types, and the argument rules, shared across the simulator."""
+
+import numpy as np
 
 
 class RRSimError(Exception):
@@ -47,3 +49,25 @@ class AmbiguousDecodeWarning(UserWarning):
 
 class TruncatedRunWarning(UserWarning):
     """Characterization stopped early because cells reached the endurance limit."""
+
+
+def whole(name, value, least=0, most=None):
+    """`value` itself if it is an int or NumPy integer, never a bool, within
+    [least, most] (a bound of None is open); else ConfigurationError."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or least is not None and value < least
+            or most is not None and value > most):
+        rules = [f"{op} {bound}" for op, bound in ((">=", least), ("<=", most))
+                 if bound is not None]
+        raise ConfigurationError(
+            f"{name} must be {' and '.join(rules + ['a whole number'])}, not {value!r}")
+    return value
+
+
+def amount(name, value):
+    """`value` itself if it is a finite real number >= 0, never a bool, or an
+    array of them (checked by one min and one max); else ConfigurationError."""
+    v = np.asarray(value)
+    if v.dtype.kind not in "iuf" or v.size and not 0 <= v.min() <= v.max() < np.inf:
+        raise ConfigurationError(f"{name} must be a finite number >= 0, not {value!r}")
+    return value

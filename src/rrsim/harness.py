@@ -18,8 +18,8 @@ from typing import ClassVar
 import numpy as np
 
 from .chip import ChipModel
-from .codec import HidingKey, Payload, decode, encode
-from .errors import BoundsError, ConfigurationError, UsedCellsWarning
+from .codec import HidingKey, Payload, _check_kmeans, decode, encode
+from .errors import ConfigurationError, UsedCellsWarning, whole
 
 REPORT_COLUMNS = ("sweep_id", "N", "post_stress", "op", "replica_size",
                   "min_distance_s", "ber", "errors")
@@ -125,11 +125,8 @@ def simulate_usage(chip: ChipModel, pattern: UsagePattern, cycles: int,
                    region: tuple[int, int]) -> None:
     """Age `region` = (start, count) with `cycles` pair-equivalents of traffic."""
     start, count = region
-    if start < 0 or count < 0 or start + count > chip.geometry.address_count:
-        raise BoundsError(f"region [{start}, {start + count}) outside chip")
-    if cycles < 0:
-        raise ConfigurationError("cycles must be >= 0")
-    if cycles == 0 or count == 0:
+    chip._check_range(start, whole("region count", count))
+    if whole("cycles", cycles) == 0 or count == 0:
         return
     addrs = np.arange(start, start + count, dtype=np.int64)
     if pattern.kind == "worst_case_toggle":
@@ -182,7 +179,8 @@ def attack_wrong_base(chip: ChipModel, key: HidingKey, truth: Payload,
 def attack_wrong_key(chip: ChipModel, key: HidingKey, truth: Payload,
                      rng_seed: int = 1, op: str = "set") -> SeparationReport:
     """Decode with freshly drawn random rotations instead of the real ones."""
-    rng = np.random.Generator(np.random.PCG64(rng_seed))
+    _check_kmeans(key)  # a 1-bit key has no other rotation to draw
+    rng = np.random.Generator(np.random.PCG64(whole("rng_seed", rng_seed)))
     while True:
         rotations = tuple(int(k) for k in
                           rng.integers(0, key.payload_length, key.replica_count))
@@ -258,7 +256,7 @@ def sweep_replica_size(chip_factory, sizes, op: str = "set",
                        payload: Payload | None = None,
                        rng_seed: int = 0) -> list[SeparationReport]:
     """Encode/decode once per replica size on fresh chips."""
-    rng = np.random.Generator(np.random.PCG64(rng_seed))
+    rng = np.random.Generator(np.random.PCG64(whole("rng_seed", rng_seed)))
     reports = []
     for size in sizes:
         pay = payload if payload is not None else Payload.random(32, rng)

@@ -24,7 +24,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, amount, whole
 
 PROFILE_FORMAT = "rrsim-profile"
 PROFILE_VERSION = 1
@@ -46,8 +46,8 @@ class WearCurve:
     p: float           # wear exponent, >= 1
 
     def mean(self, stress):
-        """Mean switch time at `stress` pairs (scalar or ndarray)."""
-        s = np.asarray(stress, dtype=float)
+        """Mean switch time at `stress` pairs (finite, >= 0; scalar or ndarray)."""
+        s = np.asarray(amount("stress", stress), dtype=float)
         out = self.t0 + self.a * np.power(s, self.p)
         if out.ndim == 0:
             return float(out)
@@ -103,10 +103,8 @@ class CalibrationProfile:
     bake_drift: float = 0.0       # fractional permanent shift per bake day
 
     def __post_init__(self):
-        for name in ("endurance_rated", "endurance_max"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigurationError(f"{name} must be a whole number")
+        whole("endurance_rated", self.endurance_rated, 1)
+        whole("endurance_max", self.endurance_max, self.endurance_rated)
         for f in fields(self)[2:]:  # every number; the curves come first
             if not _real(getattr(self, f.name)):
                 raise ConfigurationError(f"{f.name} must be a finite number")
@@ -117,8 +115,6 @@ class CalibrationProfile:
                 raise ConfigurationError(f"{name} must be positive")
         if self.jitter_max < 0 or self.chip_variation < 0:
             raise ConfigurationError("jitter_max and chip_variation must be >= 0")
-        if self.endurance_max < self.endurance_rated or self.endurance_rated <= 0:
-            raise ConfigurationError("need endurance_max >= endurance_rated > 0")
         if self.temp_rated_min >= self.temp_rated_max:
             raise ConfigurationError("bad rated temperature range")
         # temp_factor is linear, so both ends bound it over the whole range.
@@ -172,13 +168,11 @@ class CalibrationProfile:
         replica group, so the chip speed factor varies draw to draw while
         per-sample noise averages down with the group size.
         """
-        if replica_size < 1 or count < 1:
-            raise ConfigurationError("replica_size and count must be >= 1")
-        if not _real(stress) or stress < 0:
-            raise ConfigurationError(f"stress must be a finite number >= 0, got {stress}")
-        chip = _lognormal(self.chip_variation, rng, count)
-        samples = _lognormal(self.sigma(op), rng, (count, replica_size)).mean(axis=1)
-        return self.mean_time(op, stress) * chip * samples
+        mean = self.mean_time(op, stress)  # checks op and stress before any draw
+        shape = (whole("count", count, 1), whole("replica_size", replica_size, 1))
+        chip = _lognormal(self.chip_variation, rng, shape[0])
+        samples = _lognormal(self.sigma(op), rng, shape).mean(axis=1)
+        return mean * chip * samples
 
     # -- persistence -----------------------------------------------------
 

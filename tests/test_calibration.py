@@ -111,7 +111,9 @@ class TestFitProfile:
             rrsim.fit_profile(records)
 
     @pytest.mark.parametrize("shape", [
-        {"group_count": 0}, {"group_count": -1}, {"replica_size": 0}])
+        {"group_count": 0}, {"group_count": -1}, {"replica_size": 0},
+        {"group_count": 2.5}, {"replica_size": True},
+        {"group_count": float("nan")}, {"replica_size": 256.0}])
     def test_synthesize_refuses_empty_shapes(self, profile, shape):
         with pytest.raises(rrsim.ConfigurationError, match="must be >= 1"):
             synthesize_records(profile, [0, 100_000], **shape)
@@ -175,12 +177,14 @@ class TestSeparationThreshold:
         with pytest.raises(rrsim.NotSeparableError):
             rrsim.min_stress_for_separation(noisy, 256, 200, seed=5)
 
-    @pytest.mark.parametrize("replica,samples", [(0, 100), (256, 0), (-1, -1)])
+    @pytest.mark.parametrize("replica,samples", [
+        (0, 100), (256, 0), (-1, -1), (2.5, 100), (True, 100), (256, 2000.0),
+        (256, float("nan"))])
     def test_empty_draws_refused(self, profile, replica, samples):
         with pytest.raises(rrsim.ConfigurationError, match=">= 1"):
             rrsim.min_stress_for_separation(profile, replica, samples)
 
-    @pytest.mark.parametrize("step", [0, -5])
+    @pytest.mark.parametrize("step", [0, -5, 1000.0, float("nan")])
     def test_non_positive_grid_step_refused(self, profile, step):
         # Such a grid never reaches endurance_max; refused before any draw.
         with pytest.raises(rrsim.ConfigurationError, match="grid_step"):

@@ -31,7 +31,9 @@ class TestConstruction:
 
     @pytest.mark.parametrize("fields", [
         {"address_count": 0}, {"word_length": 16}, {"buffer_size": 0},
-        {"address_count": 128}])  # buffer of 256 larger than the chip
+        {"address_count": 128},  # buffer of 256 larger than the chip
+        {"address_count": 4096.5}, {"buffer_size": 256.0},
+        {"buffer_size": True}, {"word_length": 8.0}])
     def test_bad_geometry_refused_when_built(self, fields):
         with pytest.raises(rrsim.ConfigurationError):
             rrsim.ChipGeometry(**fields)
@@ -312,3 +314,71 @@ class TestSeparabilityInvariant:
         for op in ("set", "reset"):
             means = profile.mean_time(op, grid)
             assert np.all(np.diff(means) > 0)
+
+
+# Calls that break the argument rules: a count, size, address or seed that
+# is not a whole number in range, or a stress or duration that is not a
+# finite number >= 0.
+REFUSED_CALLS = {
+    "key-float-size": lambda chip, rng: rrsim.HidingKey(0, 2.5, 1, (0,), 4, 10),
+    "key-bool-count": lambda chip, rng: rrsim.HidingKey(0, 4, True, (0,), 4, 10),
+    "key-float-length": lambda chip, rng: rrsim.HidingKey(0, 4, 1, (0,), 4.0, 10),
+    "key-float-base": lambda chip, rng: rrsim.HidingKey(0.5, 4, 1, (0,), 4, 10),
+    "key-float-stress": lambda chip, rng: rrsim.HidingKey(0, 4, 1, (0,), 4, 10.5),
+    "key-bool-rotation": lambda chip, rng: rrsim.HidingKey(0, 4, 1, (True,), 4, 10),
+    "key-negative-seed": lambda chip, rng: rrsim.generate_key(8, 0, 4, 1, 10, -1),
+    "key-negative-replicas": lambda chip, rng: rrsim.generate_key(8, 0, 4, -1, 10, 0),
+    "pairs-float": lambda chip, rng: chip.apply_stress_pairs(np.arange(8), 2.5),
+    "pairs-bool": lambda chip, rng: chip.apply_stress_pairs(np.arange(8), True),
+    "usage-float-cycles": lambda chip, rng: rrsim.simulate_usage(
+        chip, rrsim.WORST_CASE, 2.5, (0, 256)),
+    "usage-bool-cycles": lambda chip, rng: rrsim.simulate_usage(
+        chip, rrsim.REALISTIC, True, (0, 256)),
+    "usage-float-start": lambda chip, rng: rrsim.simulate_usage(
+        chip, rrsim.WORST_CASE, 10, (0.5, 256)),
+    "usage-float-count": lambda chip, rng: rrsim.simulate_usage(
+        chip, rrsim.REALISTIC, 10, (0, 256.0)),
+    "usage-negative-count": lambda chip, rng: rrsim.simulate_usage(
+        chip, rrsim.WORST_CASE, 10, (0, -5)),
+    "characterize-float-pairs": lambda chip, rng: rrsim.characterize(
+        chip, np.arange(256), 2.5, 1),
+    "characterize-bool-pairs": lambda chip, rng: rrsim.characterize(
+        chip, np.arange(256), True, 1),
+    "characterize-float-interval": lambda chip, rng: rrsim.characterize(
+        chip, np.arange(256), 100, 10.5),
+    "characterize-float-addresses": lambda chip, rng: rrsim.characterize(
+        chip, np.arange(256) + 0.5, 100, 50),
+    "mean-negative": lambda chip, rng: chip.profile.mean_time("reset", [-1.0, 2.0]),
+    "mean-nan": lambda chip, rng: chip.profile.mean_time("set", float("nan")),
+    "mean-bool": lambda chip, rng: chip.profile.mean_time("set", True),
+    "sample-negative": lambda chip, rng: chip.profile.sample_times("set", -5, rng),
+    "sample-negative-array": lambda chip, rng: chip.profile.sample_times(
+        "reset", np.array([3.0, -1.0]), rng),
+    "write-float-address": lambda chip, rng: chip.timed_write(2.5, 0),
+    "write-float-value": lambda chip, rng: chip.timed_write(3, 2.5),
+    "buffer-float-base": lambda chip, rng: chip.buffered_write(
+        256.0, np.zeros(256, dtype=np.uint8)),
+    "stress-count-float-address": lambda chip, rng: chip.stress_count(1.5),
+    "chip-float-seed": lambda chip, rng: rrsim.new_chip(chip.geometry, chip.profile, 2.5),
+    "chip-seed-past-int64": lambda chip, rng: rrsim.new_chip(
+        chip.geometry, chip.profile, 2**63),
+    "synthesize-negative-seed": lambda chip, rng: rrsim.synthesize_records(
+        chip.profile, [0], seed=-1),
+    "synthesize-float-level": lambda chip, rng: rrsim.synthesize_records(
+        chip.profile, [0, 2.5]),
+    "separation-negative-seed": lambda chip, rng: rrsim.min_stress_for_separation(
+        chip.profile, 256, 100, seed=-1),
+    "sweep-negative-seed": lambda chip, rng: rrsim.sweep_replica_size(
+        chip.clone, [32], rng_seed=-1),
+    "ecc-float-factor": lambda chip, rng: rrsim.apply_ecc(rrsim.Payload((1, 0)), 3.0),
+}
+
+
+@pytest.mark.parametrize("call", REFUSED_CALLS.values(), ids=REFUSED_CALLS)
+def test_argument_rules_refuse_before_any_change(chip, call):
+    rng = rng_for(18)
+    before, state = chip.clone(), rng.bit_generator.state
+    with pytest.raises(rrsim.ConfigurationError):
+        call(chip, rng)
+    assert chip == before
+    assert rng.bit_generator.state == state

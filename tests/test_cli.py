@@ -581,3 +581,65 @@ def test_module_entry_point(workdir):
     assert bad.returncode == cli.EXIT_FORMAT
     assert bad.stderr.startswith("format error: ")
     assert "Traceback" not in bad.stderr
+
+
+# Arguments the library refuses through its argument rules.  PCG64 takes no
+# seed below 0, and the chip-state header stores the chip seed as an int64.
+PAST_INT64 = str(2**63)
+WRONG_KEY = ["attack", "--kind", "wrong-key", "--key", "key.json",
+             "--chip", "chip.bin", "--out", "a.csv"]
+TINY_SWEEPS = {
+    "post-hiding": ["sweep", "--kind", "post-hiding", "--n-list", "15000",
+                    "--grid", "0", "--out", "s.csv", "--address-count", "8192"],
+    "replica-size": ["sweep", "--kind", "replica-size", "--sizes", "32",
+                     "--out", "s.csv", "--address-count", "8192"],
+    "initial-stress": ["sweep", "--kind", "initial-stress", "--grid", "0",
+                       "--out", "s.csv", "--address-count", "8192"],
+}
+TINY_CHARACTERIZE = ["characterize", "--addresses", "256", "--max-pairs", "0",
+                     "--out", "r.csv"]
+REFUSED_ARGUMENTS = {
+    "hide-negative-seed": ([*REL_HIDE, "--seed", "-1"], "rng_seed"),
+    "attack-wrong-key-negative-seed": (
+        [*WRONG_KEY, "--payload", "0xECE3038B", "--seed", "-1"], "rng_seed"),
+    "sweep-replica-size-negative-seed": (
+        [*TINY_SWEEPS["replica-size"], "--seed", "-1"], "rng_seed"),
+    "characterize-seed-past-int64": (
+        [*TINY_CHARACTERIZE, "--seed", PAST_INT64], "seed"),
+    "hide-seed-past-int64": ([*REL_HIDE, "--seed", PAST_INT64], "seed"),
+    **{f"sweep-{kind}-seed-past-int64": ([*argv, "--seed", PAST_INT64], "seed")
+       for kind, argv in TINY_SWEEPS.items()},
+    "hide-negative-replicas": ([*REL_HIDE, "--replicas", "-1"], "replica_count"),
+}
+
+
+@pytest.mark.parametrize("argv, name", REFUSED_ARGUMENTS.values(),
+                         ids=REFUSED_ARGUMENTS)
+def test_refused_argument_is_usage_error(argv, name, workdir):
+    if "--chip" in argv:
+        assert cli.main(REL_HIDE) == cli.EXIT_OK
+    files = sorted(os.listdir())
+    code, out, err = captured(argv)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err.startswith(f"error: {name} must be ")
+    assert sorted(os.listdir()) == files
+
+
+@pytest.mark.parametrize("argv", [TINY_CHARACTERIZE, TINY_SWEEPS["post-hiding"]],
+                         ids=["characterize", "sweep-post-hiding"])
+def test_negative_seed_still_seeds_chips(argv, workdir):
+    # Only chips take these commands' seed, and a chip seed may be negative.
+    code, out, err = captured([*argv, "--seed", "-1"])
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert out.endswith("seed: -1\n")
+
+
+def test_wrong_key_attack_on_one_bit_key_is_usage_error(workdir):
+    # A 1-bit key has one rotation, so no wrong one can be drawn.
+    hide = ["hide", "--payload", "0x1", "--payload-bits", "1", "--key-out",
+            "key.json", "--chip-out", "chip.bin", "--address-count", "4096"]
+    assert captured(hide)[0] == cli.EXIT_OK
+    code, out, err = captured([*WRONG_KEY, "--payload", "0x1"])
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err.startswith("error: kmeans decoding needs at least two payload bits")
+    assert not os.path.exists("a.csv")

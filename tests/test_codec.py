@@ -352,13 +352,13 @@ class TestKeyFieldTypes:
     @pytest.mark.parametrize("field", ["base_address", "replica_size",
                                        "replica_count", "payload_length",
                                        "stress_count"])
-    @pytest.mark.parametrize("value", [1.5, 2.0, True, "2", None])
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, "2", None, float("nan")])
     def test_non_integer_field_rejected(self, field, value):
         with pytest.raises(rrsim.FormatError, match=field):
             rrsim.HidingKey.from_json(self._text(**{field: value}))
 
     @pytest.mark.parametrize("rotations", [[1, 3.0], [True, 0], [1, "3"],
-                                           "13", {"0": 1}])
+                                           "13", {"0": 1}, [1, float("nan")]])
     def test_non_integer_rotations_rejected(self, rotations):
         with pytest.raises(rrsim.FormatError, match="rotations"):
             rrsim.HidingKey.from_json(self._text(rotations=rotations))
@@ -402,7 +402,8 @@ class TestReferenceOverlap:
         (np.arange(-10, 246), rrsim.BoundsError),
         (np.arange(9000, 8744, -1), rrsim.ConfigurationError),
         (np.repeat(np.arange(9000, 9128), 2), rrsim.ConfigurationError),
-        (np.arange(0), rrsim.ConfigurationError)])
+        (np.arange(0), rrsim.ConfigurationError),
+        (np.arange(9000, 9256) + 0.5, rrsim.ConfigurationError)])
     def test_bad_list_refused_before_measuring(self, profile, refs, error):
         chip, key = self.hidden(profile, 256)
         before = chip.clone()

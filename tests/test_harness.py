@@ -108,7 +108,10 @@ class TestRetentionAndBake:
         lambda chip: chip.age_retention(float("nan")),
         lambda chip: chip.bake(80.0, float("inf")),
         lambda chip: chip.bake(-300.0, 3600.0),
-        lambda chip: chip.bake(float("nan"), 3600.0)])
+        lambda chip: chip.bake(float("nan"), 3600.0),
+        lambda chip: chip.age_retention(True),
+        lambda chip: chip.age_retention("5"),
+        lambda chip: chip.bake(80.0, True)])
     def test_refused_aging_changes_nothing(self, chip, refused):
         chip.bake(60.0, 3600.0)
         before = chip.clone()
@@ -180,6 +183,16 @@ class TestAttacks:
             neg += rep.min_distance < 0
             assert report_invariants_ok(rep)
         assert neg >= 29
+
+    def test_wrong_key_refuses_one_bit_key(self, profile):
+        # A 1-bit key has one rotation, so no wrong one can be drawn.
+        chip = fresh_chip(profile, seed=96, addresses=4096)
+        key = rrsim.HidingKey(0, 256, 1, (0,), 1, 15_000)
+        rrsim.encode(chip, key, rrsim.Payload((1,)))
+        before = chip.clone()
+        with pytest.raises(rrsim.ConfigurationError, match="kmeans"):
+            harness.attack_wrong_key(chip, key, rrsim.Payload((1,)))
+        assert chip == before
 
     def test_attack_leaves_original_chip_unworn(self, profile):
         chip, key, payload = self._victim(profile, seed=95)

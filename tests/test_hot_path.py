@@ -156,7 +156,10 @@ ADDRESS_METHODS = {
     (np.array([-1, 0, 1]), rrsim.BoundsError),
     (np.array([4000, 4096]), rrsim.BoundsError),
     (np.array([5, 4095, 4096]), rrsim.BoundsError),
-], ids=[*REFUSED_SETS, "negative", "past-end", "past-end-gapped"])
+    (np.array([1.5, 2.5]), rrsim.ConfigurationError),
+    (np.array([False, True]), rrsim.ConfigurationError),
+], ids=[*REFUSED_SETS, "negative", "past-end", "past-end-gapped", "fractional",
+        "boolean"])
 def test_address_rule_refuses_before_any_change(profile, method, addrs, error):
     chip = worn_chip(profile)
     before = chip.clone()
@@ -288,7 +291,8 @@ def test_repeated_transitions_cannot_pass_endurance(profile):
 
 @pytest.mark.parametrize("addrs, counts, seconds", [
     ([5], [-160], 0.0), ([5, 9], [32, -1], 1.0), ([5], [32], -1.0),
-    ([], [], -0.5)])
+    ([], [], -0.5), ([5], [1.7], 0.0), ([5], 1.7, 0.0), ([5], True, 0.0),
+    ([5], [32], float("nan")), ([5], [32], float("inf")), ([5], [32], True)])
 def test_negative_transitions_refused(profile, addrs, counts, seconds):
     chip = fresh_chip(profile, seed=8, addresses=1024)
     chip.apply_transitions([5, 9], [48, 16], 2.0)

@@ -148,6 +148,11 @@ def test_replica_means_allocation_budget(profile):
     (("set", -5, 256, 100), "stress"),
     (("reset", float("nan"), 256, 100), "stress"),
     (("reset", float("inf"), 256, 100), "stress"),
+    (("set", 0, 2.5, 100), "replica_size"),
+    (("set", 0, True, 100), "replica_size"),
+    (("set", 0, 256, 10.0), "count"),
+    (("set", 0, 256, float("nan")), "count"),
+    (("set", "5", 256, 100), "stress"),
 ])
 def test_replica_means_bad_arguments_refused_before_drawing(profile, args, match):
     rng = rng_for(17)
