@@ -235,34 +235,27 @@ class ChipModel:
     def buffered_write(self, base_address: int, values) -> float:
         """Write whole buffers of bytes, one flat-latency command per buffer.
 
-        `values` may span any positive whole number of buffers from
-        `base_address`; they are issued as that many consecutive buffered
-        commands, and the clock advances once per command.  If a toggled
-        cell in buffer k is past endurance, buffers 0..k-1 are written and
-        WearOutError names buffer k's worn cells.  Returns the seconds
-        consumed.
+        `values` (whole numbers in [0, 255]) may span any positive whole
+        number of buffers from `base_address`; they are issued as that many
+        consecutive buffered commands, and the clock advances once per
+        command.  If any cell the write would toggle is past endurance,
+        WearOutError names every such cell and nothing is written.  Returns
+        the seconds consumed.
         """
-        buf = np.asarray(values, dtype=np.uint8)
+        buf = np.asarray(values)
         size = self.geometry.buffer_size
-        if len(buf) == 0 or len(buf) % size:
+        if buf.ndim != 1 or len(buf) == 0 or len(buf) % size:
             raise ConfigurationError(
                 f"buffered write needs a whole number of {size}-byte buffers")
+        buf = _per_address("values", buf.shape, buf, np.uint8)
         self._check_range(base_address, len(buf))
         sl = slice(base_address, base_address + len(buf))
         toggled = self._values[sl] ^ buf
-        worn = (toggled != 0) & (self._units[sl] > self._limit)
-        done = len(buf)
-        if np.any(worn):
-            first = int(np.argmax(worn))
-            done = first - first % size
-        ok = slice(base_address, base_address + done)
-        self._values[ok] = buf[:done]
-        elapsed = self._commit(self.profile.buffered_command_time, ok,
-                               _POPCOUNT[toggled[:done]], done // size)
-        if done < len(buf):
-            bad = np.flatnonzero(worn[done:done + size]) + (base_address + done)
-            raise WearOutError(_PAST_ENDURANCE, addresses=bad.tolist())
-        return elapsed
+        hot = np.flatnonzero(toggled)
+        self._check_wear(hot + base_address, self._units[sl][hot])
+        self._values[sl] = buf
+        return self._commit(self.profile.buffered_command_time, sl,
+                            _POPCOUNT[toggled], len(buf) // size)
 
     def apply_stress_pairs(self, addresses, pairs: int) -> float:
         """Apply `pairs` alternating all-zeros/all-ones buffered write pairs.
@@ -299,7 +292,7 @@ class ChipModel:
         and neither negative; wear limits hold and nothing is applied on failure.
         """
         addrs, cells = self._index(addresses)
-        units = _per_address("transitions", addrs, transitions, np.int64)
+        units = _per_address("transitions", addrs.shape, transitions, np.int64)
         self._check_wear(addrs, self._units[cells] + units)
         self._commit(amount("seconds", seconds), cells, units)
 
@@ -308,7 +301,7 @@ class ChipModel:
         bookkeeping) at strictly increasing addresses inside the chip;
         `values` is one byte or one per address."""
         addrs, cells = self._index(addresses)
-        self._values[cells] = _per_address("values", addrs, values, np.uint8)
+        self._values[cells] = _per_address("values", addrs.shape, values, np.uint8)
 
     def derive_rng(self, tag: bytes, *parts) -> np.random.Generator:
         """Deterministic generator tied to this chip's seed and the call data."""
@@ -385,11 +378,12 @@ class ChipModel:
         return b"".join((self._header(), cells))
 
 
-def _per_address(name: str, addrs: np.ndarray, data, dtype) -> np.ndarray:
-    """`data` as a `dtype` array: one whole number or one per address, each
-    between 0 and the dtype's maximum; floats are refused, not truncated."""
+def _per_address(name: str, shape: tuple, data, dtype) -> np.ndarray:
+    """`data` as a `dtype` array: one whole number or one per cell of
+    `shape`, each between 0 and the dtype's maximum; floats are refused,
+    not truncated."""
     arr = np.asarray(data)
-    if arr.ndim and arr.shape != addrs.shape:
+    if arr.ndim and arr.shape != shape:
         raise ConfigurationError(f"need one value or one per address, not {arr.shape}")
     top = np.iinfo(dtype).max
     if arr.size and (arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() > top):

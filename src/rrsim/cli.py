@@ -374,9 +374,6 @@ def main(argv=None) -> int:
         code = args.func(args, _profile(args))
         print(f"seed: {args.seed}")
         return code
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except FormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return EXIT_FORMAT

@@ -44,8 +44,9 @@ class Payload:
     def __post_init__(self):
         if len(self.bits) < 1:
             raise ConfigurationError("payload must have at least one bit")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ConfigurationError("payload bits must be 0 or 1")
+        # Exactly int: a bool or float bit equals 0 or 1 but breaks to_hex.
+        if any(type(b) is not int or b not in (0, 1) for b in self.bits):
+            raise ConfigurationError("payload bits must be the ints 0 or 1")
 
     def __len__(self):
         return len(self.bits)
@@ -58,7 +59,7 @@ class Payload:
         if not t or any(c not in "0123456789abcdef" for c in t):
             raise ConfigurationError(f"not a hex payload: {text!r}")
         value = int(t, 16)
-        nbits = length if length is not None else 4 * len(t)
+        nbits = whole("length", length, None) if length is not None else 4 * len(t)
         if nbits < 1:
             raise ConfigurationError("payload length must be at least 1 bit")
         if value >= (1 << nbits):
@@ -77,7 +78,7 @@ class Payload:
 
     @classmethod
     def random(cls, length: int, rng) -> "Payload":
-        return cls(tuple(int(b) for b in rng.integers(0, 2, length)))
+        return cls(tuple(int(b) for b in rng.integers(0, 2, whole("length", length, 1))))
 
 
 def rotate_left(bits, k: int):
@@ -222,7 +223,8 @@ def encode(chip: ChipModel, key: HidingKey, payload: Payload) -> EncodeReport:
 
     All planned addresses are first initialized to the erased pattern; the
     1-bit cells then receive `key.stress_count` set-reset pairs, applied
-    buffer-by-buffer.  Cells holding 0-bits keep their wear untouched.
+    buffer-by-buffer.  Cells holding 0-bits keep their wear untouched.  A
+    cell past endurance in either step raises EncodeError.
     """
     if len(payload) != key.payload_length:
         raise ConfigurationError(
@@ -233,9 +235,9 @@ def encode(chip: ChipModel, key: HidingKey, payload: Payload) -> EncodeReport:
         warnings.warn(
             f"target cells already carry {prior.mean():.1f} mean pairs of wear",
             UsedCellsWarning)
-    busy = _init_to_erased(chip, plan.addresses)
     ones = plan.addresses[payload.to_array()[plan.bit_of_address] == 1]
     try:
+        busy = _init_to_erased(chip, plan.addresses)
         busy += chip.apply_stress_pairs(ones, key.stress_count)
     except WearOutError as exc:
         raise EncodeError("cells wore out during encoding",

@@ -227,8 +227,8 @@ def sweep_post_hiding(chip_factory, stress_counts, post_grid, op: str = "set"
         encode(chip, key, _SWEEP_PAYLOAD)
         for s in post_grid:
             twin = chip.clone()
-            simulate_usage(twin, WORST_CASE, int(s), (0, key.footprint))
-            reports.append(_scored_decode(twin, key, _SWEEP_PAYLOAD, op, int(s)))
+            simulate_usage(twin, WORST_CASE, s, (0, key.footprint))
+            reports.append(_scored_decode(twin, key, _SWEEP_PAYLOAD, op, s))
     return reports
 
 
@@ -261,7 +261,7 @@ def sweep_replica_size(chip_factory, sizes, op: str = "set",
     for size in sizes:
         pay = payload if payload is not None else Payload.random(32, rng)
         chip = chip_factory()
-        key = HidingKey(0, int(size), 1, (0,), len(pay), stress_count)
+        key = HidingKey(0, size, 1, (0,), len(pay), stress_count)
         encode(chip, key, pay)
         reports.append(_scored_decode(chip, key, pay, op))
     return reports
@@ -289,13 +289,12 @@ def sweep_initial_stress(chip_factory, initial_grid, stress_count: int,
         chip = chip_factory()
         key = HidingKey(0, replica_size, 1, (0,), len(_SWEEP_PAYLOAD),
                         stress_count)
-        simulate_usage(chip, REALISTIC, int(s), (0, key.footprint))
+        simulate_usage(chip, REALISTIC, s, (0, key.footprint))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UsedCellsWarning)
             encode(chip, key, _SWEEP_PAYLOAD)
         for op in ops:
-            reports.append(_scored_decode(chip.clone(), key, _SWEEP_PAYLOAD,
-                                          op, int(s)))
+            reports.append(_scored_decode(chip.clone(), key, _SWEEP_PAYLOAD, op, s))
     return reports
 
 

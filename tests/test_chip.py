@@ -371,6 +371,25 @@ REFUSED_CALLS = {
     "sweep-negative-seed": lambda chip, rng: rrsim.sweep_replica_size(
         chip.clone, [32], rng_seed=-1),
     "ecc-float-factor": lambda chip, rng: rrsim.apply_ecc(rrsim.Payload((1, 0)), 3.0),
+    "buffer-float-values": lambda chip, rng: chip.buffered_write(0, np.full(256, 2.7)),
+    "buffer-values-past-byte": lambda chip, rng: chip.buffered_write(0, np.full(256, 300)),
+    "buffer-list-past-byte": lambda chip, rng: chip.buffered_write(0, [300] * 256),
+    "buffer-negative-values": lambda chip, rng: chip.buffered_write(0, np.full(256, -1)),
+    "buffer-bool-values": lambda chip, rng: chip.buffered_write(0, np.zeros(256, bool)),
+    "buffer-scalar": lambda chip, rng: chip.buffered_write(0, 0),
+    "buffer-2d": lambda chip, rng: chip.buffered_write(0, np.zeros((256, 2), np.uint8)),
+    "payload-float-length": lambda chip, rng: rrsim.Payload.from_hex("0x5", length=2.5),
+    "payload-random-negative": lambda chip, rng: rrsim.Payload.random(-1, rng),
+    "payload-random-float": lambda chip, rng: rrsim.Payload.random(2.5, rng),
+    "payload-float-bits": lambda chip, rng: rrsim.Payload((1.0, 0)),
+    "payload-bool-bits": lambda chip, rng: rrsim.Payload((True, False)),
+    "payload-numpy-bits": lambda chip, rng: rrsim.Payload((0, np.int64(1))),
+    "payload-random-bool": lambda chip, rng: rrsim.Payload.random(True, rng),
+    "sweep-post-float-point": lambda chip, rng: rrsim.sweep_post_hiding(
+        chip.clone, [15_000], [2.5]),
+    "sweep-initial-float-point": lambda chip, rng: rrsim.sweep_initial_stress(
+        chip.clone, [2.5], 15_000),
+    "sweep-float-size": lambda chip, rng: rrsim.sweep_replica_size(chip.clone, [32.7]),
 }
 
 

@@ -13,6 +13,7 @@ import pytest
 
 import rrsim
 from rrsim import cli, harness
+from rrsim.chip import UNITS_PER_PAIR
 
 
 def run(args):
@@ -131,6 +132,22 @@ class TestHideRetrieve:
                     "--n-stress", "2000000", "--address-count", "4096"])
         assert code == cli.EXIT_WEAR_OUT
         assert capsys.readouterr().err.startswith("wear-out: ")
+        assert not (workdir / "key.json").exists()
+        assert not (workdir / "chip.bin").exists()
+
+    @pytest.mark.filterwarnings("ignore::rrsim.UsedCellsWarning")
+    def test_worn_erase_exits_5_and_writes_nothing(self, workdir, capsys):
+        chip = rrsim.new_chip(rrsim.ChipGeometry(4096))
+        chip._units[:] = (chip.profile.endurance_max + 1) * UNITS_PER_PAIR
+        chip.set_values(list(range(4096)), 0)
+        (workdir / "worn.bin").write_bytes(chip.save_state())
+        code = run(["hide", "--payload", "0xAB", "--chip", str(workdir / "worn.bin"),
+                    "--key-out", str(workdir / "key.json"),
+                    "--chip-out", str(workdir / "chip.bin"),
+                    "--replica-size", "256", "--base", "0"])
+        assert code == cli.EXIT_WEAR_OUT
+        assert capsys.readouterr().err.startswith(
+            "wear-out: cells wore out during encoding")
         assert not (workdir / "key.json").exists()
         assert not (workdir / "chip.bin").exists()
 

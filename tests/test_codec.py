@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import rrsim
+from rrsim.chip import UNITS_PER_PAIR
 from rrsim.codec import best_threshold, rotate_left
 from conftest import fresh_chip, rng_for
 
@@ -175,6 +176,20 @@ class TestEncode:
             with pytest.raises(rrsim.EncodeError) as err:
                 rrsim.encode(chip, key, rrsim.Payload((1,) * 32))
         assert len(err.value.addresses) > 0
+
+    def test_erase_wear_out_becomes_encode_error(self, profile):
+        # Cells past the limit holding 0x00: the erase would toggle them.
+        chip = fresh_chip(profile, seed=1, addresses=8192)
+        chip._units[:] = (profile.endurance_max + 1) * UNITS_PER_PAIR
+        chip.set_values(np.arange(8192), 0)
+        before = chip.clone()
+        key = rrsim.HidingKey(0, 256, 1, (0,), 32, 15_000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(rrsim.EncodeError) as err:
+                rrsim.encode(chip, key, rrsim.Payload((1, 0) * 16))
+        assert err.value.addresses == list(range(8192))
+        assert chip == before
 
 
 class TestDecode:

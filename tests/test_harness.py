@@ -365,6 +365,19 @@ class TestCsv:
         header = p1.read_text().splitlines()[0]
         assert header == "sweep_id,N,post_stress,op,replica_size,min_distance_s,ber,errors"
 
+    def test_numpy_grid_writes_the_same_csv(self, tmp_path, profile):
+        # Grid points reach the reports as given; whole numbers print alike.
+        def csv_bytes(grid, sizes, name):
+            reps = harness.sweep_post_hiding(
+                lambda: fresh_chip(profile, 7), [15_000], grid)
+            reps += harness.sweep_replica_size(
+                lambda: fresh_chip(profile, 8), sizes, rng_seed=2)
+            harness.write_reports_csv(tmp_path / name, "grid", reps)
+            return (tmp_path / name).read_bytes()
+
+        assert csv_bytes(range(0, 20_001, 10_000), (32, 64), "a.csv") == \
+            csv_bytes(np.arange(0, 20_001, 10_000), np.array([32, 64]), "b.csv")
+
     def test_empty_reports_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
         harness.write_reports_csv(path, "none", [])

@@ -191,14 +191,14 @@ def test_multi_buffer_write_matches_single_buffer_commands(profile):
     assert chip == twin
 
 
-def test_partial_erase_stops_at_first_worn_buffer(profile):
+def test_worn_erase_changes_nothing(profile):
     chip = worn_chip(profile)
     chip.simulated_clock = 1234.5
     size = chip.geometry.buffer_size
     limit = profile.endurance_max * UNITS_PER_PAIR
     base = 256
     # A worn cell already holding 0xFF is not rewritten, so it blocks
-    # nothing; the first worn cell that would toggle sits in buffer 2.
+    # nothing; the worn cells that would toggle sit in buffers 2 and 3.
     chip.set_values([base + 100], [0xFF])
     chip.set_values([base + 2 * size + 3, base + 2 * size + 40,
                      base + 3 * size + 1], [0, 0, 0])
@@ -206,19 +206,12 @@ def test_partial_erase_stops_at_first_worn_buffer(profile):
               base + 3 * size + 1):
         chip._units[a] = limit + 1
     twin = chip.clone()
-    start = chip.simulated_clock
-    before_values = chip.values.copy()
     with pytest.raises(rrsim.WearOutError) as err:
         chip.buffered_write(base, np.full(4 * size, 0xFF, dtype=np.uint8))
-    assert err.value.addresses == [base + 2 * size + 3, base + 2 * size + 40]
-    assert erase_oracle(twin, base, 4)[1] == err.value.addresses
+    # Every worn cell the write would toggle is named, and nothing is
+    # written or paid for, not even the buffers before the first worn one.
+    assert err.value.addresses == [771, 808, 1025]
     assert chip == twin
-    # Buffers 0 and 1 were written and paid for, one addition per command.
-    assert chip.simulated_clock == start + profile.buffered_command_time \
-        + profile.buffered_command_time
-    assert np.all(chip.values[base:base + 2 * size] == 0xFF)
-    assert np.array_equal(chip.values[base + 2 * size:],
-                          before_values[base + 2 * size:])
 
 
 def test_buffered_write_needs_whole_buffers(chip):
