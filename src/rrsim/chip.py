@@ -1,12 +1,12 @@
 """Simulated byte-addressable resistive memory with wear-dependent timing.
 
-The chip keeps one wear counter and one stored byte per address.  Wear is
-tracked in bit-transition units: every bit that toggles during a write
-contributes one unit, and 16 units (eight bits switched down and back up)
-make one full set-reset pair for the byte.  Mean switch time grows with
-accumulated pairs per the chip's calibration profile; reported times add
-per-sample lognormal noise, a per-chip speed factor, and the temperature
-multiplier.
+The chip keeps one packed 5-byte record per address, as the state file
+lays it out: a uint32 wear counter and the stored byte.  Wear is tracked
+in bit-transition units: every bit that toggles during a write contributes
+one unit, and 16 units (eight bits switched down and back up) make one
+full set-reset pair for the byte.  Mean switch time grows with accumulated
+pairs per the chip's calibration profile; reported times add per-sample
+lognormal noise, a per-chip speed factor, and the temperature multiplier.
 
 Timing noise is derived by hashing the chip seed together with the
 addresses and wear state touched by each operation, so a chip restored
@@ -84,14 +84,14 @@ class ChipModel:
 
     def __init__(self, geometry: ChipGeometry, profile: CalibrationProfile,
                  seed: int, random_delay_enabled: bool = False):
-        self._assemble(geometry, profile, seed, random_delay_enabled,
-                       np.zeros(geometry.address_count, dtype=np.int64),
-                       np.full(geometry.address_count, 0xFF, dtype=np.uint8))
+        cells = np.zeros(geometry.address_count, dtype=_CELL_DTYPE)
+        cells["value"] = 0xFF
+        self._assemble(geometry, profile, seed, random_delay_enabled, cells)
 
     def _assemble(self, geometry, profile, seed, random_delay_enabled,
-                  units, values, clock=0.0, temperature=25.0):
-        """Set the chip's whole state around the given cell arrays, which
-        the chip takes over; the chip factor is drawn from the seed."""
+                  cells, clock=0.0, temperature=25.0):
+        """Set the chip's whole state around `cells`, a `_CELL_DTYPE` record
+        table the chip takes over; the chip factor is drawn from the seed."""
         self._limit = profile.endurance_max * UNITS_PER_PAIR  # most wear a cell may carry
         if self._limit + UNITS_PER_PAIR >= 2**32:
             raise ConfigurationError(
@@ -105,8 +105,7 @@ class ChipModel:
         self.random_delay_enabled = random_delay_enabled
         self.bake_log = []  # (celsius, seconds), not persisted
         # Wear in bit-transition units (16 = one byte set-reset pair).
-        self._units = units
-        self._values = values
+        self._cells, self._units, self._values = cells, cells["stress"], cells["value"]
         self.chip_factor = profile.draw_chip_factor(self._rng(b"chip-factor"))
 
     # -- basic state -------------------------------------------------------
@@ -129,15 +128,14 @@ class ChipModel:
         if not isinstance(other, ChipModel):
             return NotImplemented
         return (self._header() == other._header()
-                and np.array_equal(self._units, other._units)
-                and np.array_equal(self._values, other._values))
+                and np.array_equal(self._cells.view(np.uint8), other._cells.view(np.uint8)))
 
     def clone(self) -> "ChipModel":
         """Independent copy sharing the (immutable) geometry and profile."""
+        cells = self._cells.view(np.uint8).copy().view(_CELL_DTYPE)
         twin = ChipModel.__new__(ChipModel)
-        twin.__dict__.update(self.__dict__, _units=self._units.copy(),
-                             _values=self._values.copy(),
-                             bake_log=list(self.bake_log))
+        twin.__dict__.update(self.__dict__, _cells=cells, _units=cells["stress"],
+                             _values=cells["value"], bake_log=list(self.bake_log))
         return twin
 
     # -- internals ---------------------------------------------------------
@@ -184,6 +182,10 @@ class ChipModel:
                  + self.profile.bake_drift * sum(s / 86400.0 for _, s in self.bake_log))
         return self.chip_factor * self.profile.temp_factor(self.temperature) * drift
 
+    def _wear(self, cells) -> np.ndarray:
+        """Wear at `cells` as int64, the one type wear is summed, checked and hashed in."""
+        return self._units[cells].astype(np.int64)
+
     def _check_wear(self, addrs: np.ndarray, worst: np.ndarray):
         """Refuse the operation if any entry of `worst` (the wear `addrs`
         would carry, in units) passes the endurance limit."""
@@ -192,12 +194,12 @@ class ChipModel:
             raise WearOutError(_PAST_ENDURANCE,
                                addresses=np.atleast_1d(addrs[mask]).tolist())
 
-    def _commit(self, seconds: float, cells=None, units=0, commands=1) -> float:
+    def _commit(self, seconds: float, cells=None, wear=None, commands=1) -> float:
         """The one step that changes wear and the clock, after the caller's
-        checks: add `units` at `cells`, if given, and `seconds` once per
-        command (n * t rounds differently from n sums); return the sum."""
+        checks: store the checked `wear` at `cells`, if given, and add `seconds`
+        once per command (n * t rounds differently from n sums); return the sum."""
         if cells is not None:
-            self._units[cells] += units
+            self._units[cells] = wear
         elapsed = 0.0
         for _ in range(commands):
             elapsed += seconds
@@ -220,17 +222,17 @@ class ChipModel:
         if toggled == 0:
             return WriteResult("noop", self._commit(self.profile.noop_time))
         cell = np.array([address])
-        self._check_wear(cell, self._units[cell])
+        wear = self._wear(cell)
+        self._check_wear(cell, wear)
         set_bits = old & ~value & 0xFF
         kind = "set" if set_bits else "reset"
-        stress = self._units[address] / UNITS_PER_PAIR
-        rng = self._rng(b"write", np.int64(address), self._units[address])
+        stress = wear[0] / UNITS_PER_PAIR
+        rng = self._rng(b"write", np.int64(address), wear[0])
         seconds = float(self.profile.sample_times(kind, stress, rng, scale=self._scale()))
         if self.random_delay_enabled:
             seconds += float(rng.uniform(0.0, self.profile.jitter_max))
         self._values[address] = value
-        return WriteResult(kind, self._commit(seconds, address,
-                                              int(_POPCOUNT[toggled])))
+        return WriteResult(kind, self._commit(seconds, cell, wear + int(_POPCOUNT[toggled])))
 
     def buffered_write(self, base_address: int, values) -> float:
         """Write whole buffers of bytes, one flat-latency command per buffer.
@@ -251,11 +253,12 @@ class ChipModel:
         self._check_range(base_address, len(buf))
         sl = slice(base_address, base_address + len(buf))
         toggled = self._values[sl] ^ buf
+        wear = self._wear(sl)
         hot = np.flatnonzero(toggled)
-        self._check_wear(hot + base_address, self._units[sl][hot])
+        self._check_wear(hot + base_address, wear[hot])
         self._values[sl] = buf
         return self._commit(self.profile.buffered_command_time, sl,
-                            _POPCOUNT[toggled], len(buf) // size)
+                            wear + _POPCOUNT[toggled], len(buf) // size)
 
     def apply_stress_pairs(self, addresses, pairs: int) -> float:
         """Apply `pairs` alternating all-zeros/all-ones buffered write pairs.
@@ -269,10 +272,11 @@ class ChipModel:
         addrs, cells = self._index(addresses)
         if whole("pairs", pairs) == 0 or len(addrs) == 0:
             return 0.0
-        self._check_wear(addrs, self._units[cells] + pairs * UNITS_PER_PAIR)
+        # Capped past the limit, so a huge count fails the check, not the int64 sum.
+        worst = self._wear(cells) + min(pairs, self._limit) * UNITS_PER_PAIR
+        self._check_wear(addrs, worst)
         commands = self._buffer_span_count(addrs)
-        return self._commit(pairs * commands * self.profile.pair_time,
-                            cells, pairs * UNITS_PER_PAIR)
+        return self._commit(pairs * commands * self.profile.pair_time, cells, worst)
 
     def _buffer_span_count(self, addrs: np.ndarray) -> int:
         """Buffered commands needed to cover strictly increasing `addrs`:
@@ -293,8 +297,9 @@ class ChipModel:
         """
         addrs, cells = self._index(addresses)
         units = _per_address("transitions", addrs.shape, transitions, np.int64)
-        self._check_wear(addrs, self._units[cells] + units)
-        self._commit(amount("seconds", seconds), cells, units)
+        worst = self._wear(cells) + np.minimum(units, self._limit + 1)  # no overflow
+        self._check_wear(addrs, worst)
+        self._commit(amount("seconds", seconds), cells, worst)
 
     def set_values(self, addresses, values) -> None:
         """Overwrite stored bytes without timing or wear (traffic
@@ -311,7 +316,7 @@ class ChipModel:
         """Raw bit-transition units (16 = one pair) at strictly increasing
         addresses inside the chip."""
         _, cells = self._index(addresses)
-        return self._units[cells].copy()
+        return self._wear(cells)
 
     # -- measurement -------------------------------------------------------
 
@@ -323,10 +328,10 @@ class ChipModel:
         strictly increasing and inside the chip.
         """
         addrs, cells = self._index(addresses)
-        units = self._units[cells]
-        self._check_wear(addrs, units)
-        stress = units / UNITS_PER_PAIR
-        rng = self._rng(b"trace", addrs, units)
+        wear = self._wear(cells)
+        self._check_wear(addrs, wear)
+        stress = wear / UNITS_PER_PAIR
+        rng = self._rng(b"trace", addrs, wear)
         scale = self._scale()
         set_times = self.profile.sample_times("set", stress, rng, scale=scale)
         reset_times = self.profile.sample_times("reset", stress, rng, scale=scale)
@@ -335,7 +340,7 @@ class ChipModel:
             reset_times = reset_times + rng.uniform(0.0, self.profile.jitter_max, len(addrs))
         self._values[cells] = 0xFF
         self._commit(float(set_times.sum() + reset_times.sum()),
-                     cells, UNITS_PER_PAIR)
+                     cells, wear + UNITS_PER_PAIR)
         return TimingTrace(addrs, set_times, reset_times)
 
     # -- environment -------------------------------------------------------
@@ -366,16 +371,9 @@ class ChipModel:
             self.random_delay_enabled)
 
     def save_state(self) -> bytes:
-        """Serialize to the versioned little-endian chip-state format.
-
-        The cells are packed into one structured buffer (the int64 wear
-        cast to the uint32 field on assignment) and copied once into the
-        returned bytes.
-        """
-        cells = np.empty(self.geometry.address_count, dtype=_CELL_DTYPE)
-        cells["stress"] = self._units
-        cells["value"] = self._values
-        return b"".join((self._header(), cells))
+        """Serialize to the versioned little-endian chip-state format: the
+        header, then one copy of the cell table, which has the file's layout."""
+        return b"".join((self._header(), self._cells))
 
 
 def _per_address(name: str, shape: tuple, data, dtype) -> np.ndarray:
@@ -407,8 +405,8 @@ def load_state(data, profile: CalibrationProfile | None = None) -> ChipModel:
     """Rebuild a chip from `save_state` output; raises FormatError if corrupt.
 
     `data` may be any C-contiguous bytes-like object (`bytes`, `bytearray`,
-    `memoryview`, a uint8 array).  The cells are read in place and copied
-    once into the chip's own wear and value arrays.
+    `memoryview`, a uint8 array).  The cell records are copied once, as
+    bytes, into the chip's own table.
     """
     data = memoryview(data).cast("B")
     if data[:len(STATE_MAGIC)] != STATE_MAGIC:
@@ -438,9 +436,7 @@ def load_state(data, profile: CalibrationProfile | None = None) -> ChipModel:
             profile.check_rated(temperature)
         except ConfigurationError as exc:
             raise FormatError(f"temperature in state file: {exc}") from exc
-    cells = np.frombuffer(data, dtype=_CELL_DTYPE, offset=off)
+    cells = np.frombuffer(data, dtype=np.uint8, offset=off).copy().view(_CELL_DTYPE)
     chip = ChipModel.__new__(ChipModel)
-    chip._assemble(geometry, profile, seed, random_delay,
-                   cells["stress"].astype(np.int64), cells["value"].copy(),
-                   clock=clock, temperature=temperature)
+    chip._assemble(geometry, profile, seed, random_delay, cells, clock, temperature)
     return chip

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields
 from importlib import resources
 
@@ -33,8 +34,8 @@ DEFAULT_PROFILE_RESOURCE = "default_mb85as8mt.profile.json"
 
 
 def _real(x) -> bool:
-    """A finite number; JSON's true and false are not numbers here."""
-    return not isinstance(x, bool) and math.isfinite(x)
+    """A finite real number; JSON's true and false are not numbers here."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 @dataclass(frozen=True)
@@ -139,7 +140,9 @@ class CalibrationProfile:
         return 1.0 + self.temp_coeff * (celsius - 25.0)
 
     def check_rated(self, celsius: float) -> None:
-        """Refuse an operating temperature outside the rated range."""
+        """Refuse a temperature that is not a real number (nor a bool) or is not rated."""
+        if not _real(celsius):
+            raise ConfigurationError(f"temperature must be a finite number, not {celsius!r}")
         if not self.temp_rated_min <= celsius <= self.temp_rated_max:
             raise ConfigurationError(f"{celsius} C outside rated range "
                                      f"[{self.temp_rated_min}, {self.temp_rated_max}]")

@@ -154,6 +154,34 @@ class TestBufferedWrite:
             chip.buffered_write(0, np.zeros(100, dtype=np.uint8))
 
 
+# Counts that would overflow an int64 (or uint32) wear sum if added as given.
+HUGE_WEAR = {
+    "transitions-int64-max": lambda chip: chip.apply_transitions([5], [2**63 - 1], 0.0),
+    "transitions-past-uint32": lambda chip: chip.apply_transitions([5], 2**32 + 16, 0.0),
+    "pairs-1e18": lambda chip: chip.apply_stress_pairs([5], 10**18),
+    "pairs-int64-max": lambda chip: chip.apply_stress_pairs([5], np.int64(2**63 - 1)),
+}
+
+
+@pytest.mark.parametrize("call", HUGE_WEAR.values(), ids=HUGE_WEAR)
+def test_huge_wear_counts_wear_out_and_change_nothing(profile, call):
+    chip = fresh_chip(profile, seed=3, addresses=512)
+    chip.apply_transitions([5], [16], 0.0)
+    state = chip.save_state()
+    with pytest.raises(rrsim.WearOutError) as err:
+        call(chip)
+    assert err.value.addresses == [5]
+    assert chip.save_state() == state
+    assert chip.wear_units([5]).tolist() == [16]
+
+
+def test_wear_reads_widen_the_stored_uint32(chip):
+    chip.apply_stress_pairs(np.arange(4), 3)
+    assert chip.wear_units(np.arange(4)).dtype == np.int64
+    assert chip.stress_pairs.dtype == np.float64
+    assert chip.stress_pairs[:4].tolist() == [3.0] * 4
+
+
 class TestMeasureTrace:
     def test_trace_layout(self, chip):
         addrs = np.arange(8192)
@@ -390,6 +418,8 @@ REFUSED_CALLS = {
     "sweep-initial-float-point": lambda chip, rng: rrsim.sweep_initial_stress(
         chip.clone, [2.5], 15_000),
     "sweep-float-size": lambda chip, rng: rrsim.sweep_replica_size(chip.clone, [32.7]),
+    "temperature-bool": lambda chip, rng: chip.set_temperature(True),
+    "bake-bool-temperature": lambda chip, rng: chip.bake(True, 10.0),
 }
 
 

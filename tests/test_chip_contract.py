@@ -44,11 +44,11 @@ addresses = st.one_of(
     st.sampled_from([[1.5, 2.5], [True, False], [4095, 4096]]))
 byte = st.one_of(st.integers(0, 0xFF), st.sampled_from([-1, 256, 300, 2.7, True]))
 pairs = st.one_of(st.integers(0, 2_000), st.sampled_from(
-    [-1, 2.5, True, 999_999, 1_000_000, 2_000_000]))
+    [-1, 2.5, True, 999_999, 1_000_000, 2_000_000, 10**18, 2**63 - 1]))
 amount = st.one_of(st.floats(0, 1e6), st.sampled_from(
     [-1.0, float("nan"), float("inf"), True]))
 celsius = st.one_of(st.floats(-40, 85), st.sampled_from(
-    [-41.0, 86.0, 500.0, float("nan"), -0.0]))
+    [-41.0, 86.0, 500.0, float("nan"), -0.0, True]))
 
 
 def trace_or_refusal(chip, addrs):
@@ -118,7 +118,7 @@ class ChipContract(RuleBasedStateMachine):
         self.attempt(self.chip.apply_stress_pairs, addrs, pairs)
 
     @rule(addrs=addresses, count=st.one_of(st.integers(0, 1_000), st.sampled_from(
-        [-1, 2.5, 16_000_000, "each"])), seconds=amount)
+        [-1, 2.5, 16_000_000, 10**18, 2**63 - 1, "each"])), seconds=amount)
     def apply_transitions(self, addrs, count, seconds):
         counts = np.arange(len(addrs)) * 7 if count == "each" else count
         self.attempt(self.chip.apply_transitions, addrs, counts, seconds)

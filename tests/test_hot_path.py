@@ -64,7 +64,7 @@ def stress_oracle(chip, addrs, pairs):
 def trace_oracle(chip, addrs):
     """One vectorized draw over every address."""
     refuse_unless_increasing(addrs)
-    units = chip._units[addrs]
+    units = chip.wear_units(addrs)
     rng = chip._rng(b"trace", addrs, units)
     stress = units / UNITS_PER_PAIR
     scale = chip._scale()
