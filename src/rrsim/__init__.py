@@ -2,12 +2,13 @@
 plus a covert codec that hides bit-strings in cell wear and an experiment
 harness that measures how well they survive."""
 
-from .chip import ChipGeometry, ChipModel, TimingTrace, load_state, new_chip
+from .chip import (ChipGeometry, ChipModel, TimingTrace, load_state, new_chip,
+                   read_state)
 from .calibration import (CharacterizationRecord, characterize, fit_profile,
                           min_stress_for_separation, synthesize_records)
 from .codec import (AddressPlan, DecodeResult, EncodeReport, HidingKey,
-                    Payload, apply_ecc, best_threshold, decode, encode,
-                    generate_key, kmeans2, load_key, save_key, strip_ecc)
+                    Payload, best_threshold, decode, encode, generate_key,
+                    kmeans2, load_key, save_key)
 from .errors import (AmbiguousDecodeWarning, BoundsError, ConfigurationError,
                      EncodeError, FitError, FormatError, NotSeparableError,
                      RRSimError, TruncatedRunWarning, UsedCellsWarning,

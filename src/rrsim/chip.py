@@ -17,6 +17,7 @@ produce for the same operation sequence.
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 from dataclasses import dataclass
 
@@ -32,9 +33,10 @@ STATE_MAGIC = b"RRSIM\x01"
 UNITS_PER_PAIR = 16
 
 _CELL_DTYPE = np.dtype([("stress", "<u4"), ("value", "u1")])
+_FRESH_CELL = b"\0\0\0\0\xff"  # one `_CELL_DTYPE` record: no wear, erased
 # Header after the magic; `ChipModel._header` packs it.
 _HEAD_FORMAT = "<QHIqdd?"
-_HEAD_SIZE = struct.calcsize(_HEAD_FORMAT)
+_FILE_HEAD = len(STATE_MAGIC) + struct.calcsize(_HEAD_FORMAT)
 
 _PAST_ENDURANCE = "cells past rated endurance can no longer store data reliably"
 
@@ -84,8 +86,9 @@ class ChipModel:
 
     def __init__(self, geometry: ChipGeometry, profile: CalibrationProfile,
                  seed: int, random_delay_enabled: bool = False):
-        cells = np.zeros(geometry.address_count, dtype=_CELL_DTYPE)
-        cells["value"] = 0xFF
+        # Repeating one record writes the table once, with no strided store.
+        cells = np.frombuffer(bytearray(_FRESH_CELL) * geometry.address_count,
+                              dtype=_CELL_DTYPE)
         self._assemble(geometry, profile, seed, random_delay_enabled, cells)
 
     def _assemble(self, geometry, profile, seed, random_delay_enabled,
@@ -375,6 +378,12 @@ class ChipModel:
         header, then one copy of the cell table, which has the file's layout."""
         return b"".join((self._header(), self._cells))
 
+    def write_state(self, fh) -> None:
+        """Write `save_state()`'s bytes to the buffered binary file `fh`,
+        the cell table straight from the chip's own records, uncopied."""
+        fh.write(self._header())
+        fh.write(self._cells.view(np.uint8))
+
 
 def _per_address(name: str, shape: tuple, data, dtype) -> np.ndarray:
     """`data` as a `dtype` array: one whole number or one per cell of
@@ -409,19 +418,41 @@ def load_state(data, profile: CalibrationProfile | None = None) -> ChipModel:
     bytes, into the chip's own table.
     """
     data = memoryview(data).cast("B")
-    if data[:len(STATE_MAGIC)] != STATE_MAGIC:
+    return _restore(data[:_FILE_HEAD], len(data) - _FILE_HEAD, profile,
+                    lambda table: np.copyto(table, data[_FILE_HEAD:]))
+
+
+def read_state(fh, profile: CalibrationProfile | None = None) -> ChipModel:
+    """Read a chip from the binary file `fh`, positioned at a state file's
+    start, straight into the chip's own table; raises FormatError as
+    `load_state` does, before the table is allocated if the header is bad
+    or its cell count disagrees with the bytes left in the file."""
+    head = fh.read(_FILE_HEAD)
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+
+    def fill(table):
+        if fh.readinto(table) != len(table) or fh.read(1):
+            raise FormatError("chip-state file changed length while it was read")
+
+    return _restore(head, left, profile, fill)
+
+
+def _restore(head, cell_bytes: int, profile, fill) -> ChipModel:
+    """The chip a state file describes, from `head` (its first `_FILE_HEAD`
+    bytes, or all of a shorter file) and `cell_bytes`, the length of the
+    rest.  Every check runs before the cell table is allocated; `fill` then
+    writes the table's bytes into the uint8 view it is given."""
+    if head[:len(STATE_MAGIC)] != STATE_MAGIC:
         raise FormatError("bad magic: not a chip-state file")
-    off = len(STATE_MAGIC)
-    if len(data) < off + _HEAD_SIZE:
+    if len(head) < _FILE_HEAD:
         raise FormatError("truncated chip-state header")
     (address_count, word_length, buffer_size, seed, clock, temperature,
-     random_delay) = struct.unpack_from(_HEAD_FORMAT, data, off)
-    off += _HEAD_SIZE
+     random_delay) = struct.unpack_from(_HEAD_FORMAT, head, len(STATE_MAGIC))
     expected = address_count * _CELL_DTYPE.itemsize
-    if len(data) - off != expected:
+    if cell_bytes != expected:
         raise FormatError(
-            f"truncated chip-state payload: want {expected} cell bytes, "
-            f"have {len(data) - off}")
+            f"wrong chip-state payload length: want {expected} cell bytes, "
+            f"have {cell_bytes}")
     try:
         geometry = ChipGeometry(address_count, word_length, buffer_size)
     except ConfigurationError as exc:
@@ -436,7 +467,8 @@ def load_state(data, profile: CalibrationProfile | None = None) -> ChipModel:
             profile.check_rated(temperature)
         except ConfigurationError as exc:
             raise FormatError(f"temperature in state file: {exc}") from exc
-    cells = np.frombuffer(data, dtype=np.uint8, offset=off).copy().view(_CELL_DTYPE)
+    cells = np.empty(address_count, dtype=_CELL_DTYPE)
+    fill(cells.view(np.uint8))
     chip = ChipModel.__new__(ChipModel)
     chip._assemble(geometry, profile, seed, random_delay, cells, clock, temperature)
     return chip

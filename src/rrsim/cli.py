@@ -24,7 +24,7 @@ import numpy as np
 
 from . import harness
 from .calibration import CharacterizationRecord, characterize, fit_profile
-from .chip import ChipGeometry, load_state, new_chip
+from .chip import ChipGeometry, new_chip, read_state
 from .codec import Payload, decode, encode, generate_key, load_key, save_key
 from .errors import ConfigurationError, FormatError, RRSimError, WearOutError
 from .profile import default_profile, load_profile, save_profile
@@ -64,9 +64,7 @@ def _chip(args, profile, address_count=None, seed=None):
     if path:
         try:
             with open(path, "rb") as fh:
-                # NumPy asks the kernel for huge pages on buffers of 4 MB and
-                # up; a bytes object of that size faults in 4 KiB at a time.
-                chip = load_state(np.fromfile(fh, dtype=np.uint8), profile)
+                chip = read_state(fh, profile)
         except OSError as exc:
             raise FormatError(f"cannot read chip state: {exc}") from exc
     elif address_count is None:
@@ -166,7 +164,7 @@ def cmd_hide(args, profile) -> int:
     key_out, chip_out = _out(args, args.key_out), _out(args, args.chip_out)
     save_key(key, key_out)
     with open(chip_out, "wb") as fh:
-        fh.write(chip.save_state())
+        chip.write_state(fh)
     model_time = harness.encode_time(key.stress_count, len(payload),
                                      profile.pair_time)
     cost = harness.endurance_cost(key.stress_count, profile.endurance_rated)
@@ -201,7 +199,7 @@ def cmd_retrieve(args, profile) -> int:
                     reference_addresses=reference, op=args.op)
     if args.chip_out:
         with open(_out(args, args.chip_out), "wb") as fh:
-            fh.write(chip.save_state())
+            chip.write_state(fh)
     print(f"payload: {result.to_hex()}")
     print(f"op: {result.op}  method: {args.method}")
     print(f"threshold: {result.threshold_used:.6e} s  "

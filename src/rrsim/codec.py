@@ -423,30 +423,6 @@ def best_threshold(values):
     return cut, (vals > cut).astype(np.int64)
 
 
-# ---------------------------------------------------------------------------
-# repetition code
-# ---------------------------------------------------------------------------
-
-def apply_ecc(payload: Payload, k: int) -> Payload:
-    """Repeat every bit k times (k odd); k = 1 is the identity."""
-    _check_repetition(k)
-    return Payload(tuple(b for b in payload.bits for _ in range(k)))
-
-
-def strip_ecc(payload: Payload, k: int) -> Payload:
-    """Majority-vote each k-bit group back to one bit."""
-    _check_repetition(k)
-    if len(payload) % k:
-        raise ConfigurationError("encoded length is not a multiple of k")
-    bits = payload.to_array().reshape(-1, k)
-    return Payload(tuple(int(v) for v in (bits.sum(axis=1) * 2 > k)))
-
-
-def _check_repetition(k: int):
-    if whole("repetition factor", k, 1) % 2 == 0:
-        raise ConfigurationError("repetition factor must be odd and >= 1")
-
-
 def save_key(key: HidingKey, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(key.to_json())

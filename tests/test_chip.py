@@ -398,7 +398,6 @@ REFUSED_CALLS = {
         chip.profile, 256, 100, seed=-1),
     "sweep-negative-seed": lambda chip, rng: rrsim.sweep_replica_size(
         chip.clone, [32], rng_seed=-1),
-    "ecc-float-factor": lambda chip, rng: rrsim.apply_ecc(rrsim.Payload((1, 0)), 3.0),
     "buffer-float-values": lambda chip, rng: chip.buffered_write(0, np.full(256, 2.7)),
     "buffer-values-past-byte": lambda chip, rng: chip.buffered_write(0, np.full(256, 300)),
     "buffer-list-past-byte": lambda chip, rng: chip.buffered_write(0, [300] * 256),

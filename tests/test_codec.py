@@ -1,4 +1,4 @@
-"""Codec behaviour: keys, layouts, encode wear, decode, clustering, ECC."""
+"""Codec behaviour: keys, layouts, encode wear, decode, clustering."""
 
 import json
 import warnings
@@ -314,44 +314,6 @@ class TestKMeans:
             k_labels, _ = rrsim.kmeans2(vals)
             cut, t_labels = best_threshold(vals)
             assert np.array_equal(k_labels, t_labels)
-
-
-class TestEcc:
-    def test_majority_corrects_single_flip(self):
-        payload = rrsim.Payload((1, 0, 1, 1))
-        coded = rrsim.apply_ecc(payload, 3)
-        assert len(coded) == 12
-        bits = list(coded.bits)
-        bits[4] ^= 1
-        assert rrsim.strip_ecc(rrsim.Payload(tuple(bits)), 3) == payload
-
-    def test_k1_is_identity(self):
-        payload = rrsim.Payload((0, 1, 1))
-        assert rrsim.apply_ecc(payload, 1) == payload
-        assert rrsim.strip_ecc(payload, 1) == payload
-
-    def test_even_k_rejected(self):
-        with pytest.raises(rrsim.ConfigurationError):
-            rrsim.apply_ecc(rrsim.Payload((1,)), 2)
-
-    def test_two_random_flips_match_binomial_oracle(self):
-        # Two flips across 96 coded bits fail only when they share a
-        # 3-bit block: 32 * C(3,2) / C(96,2) of the placements.
-        rng = rng_for(32)
-        payload = rrsim.Payload(tuple(int(b) for b in rng.integers(0, 2, 32)))
-        coded = rrsim.apply_ecc(payload, 3)
-        fails = 0
-        trials = 4000
-        for _ in range(trials):
-            i, j = rng.choice(96, size=2, replace=False)
-            bits = list(coded.bits)
-            bits[i] ^= 1
-            bits[j] ^= 1
-            if rrsim.strip_ecc(rrsim.Payload(tuple(bits)), 3) != payload:
-                fails += 1
-        expected = 32 * 3 / (96 * 95 / 2)
-        sd = np.sqrt(expected * (1 - expected) / trials)
-        assert abs(fails / trials - expected) < 4 * sd
 
 
 class TestKeyFieldTypes:

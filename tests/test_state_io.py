@@ -1,9 +1,10 @@
 """Chip-state I/O: pinned full-chip bytes, accepted inputs, memory budget.
 
 The sha256 digests were recorded before `save_state` and `load_state`
-stopped building throwaway buffers, so a pass here shows the leaner paths
-write and read the same bytes.  The allocation budgets are tracemalloc
-counts, not timings, so they repeat exactly on any host.
+stopped building throwaway buffers, and before the CLI streamed the file
+through `write_state` and `read_state`, so a pass here shows the leaner
+paths write and read the same bytes.  The allocation budgets are
+tracemalloc counts, not timings, so they repeat exactly on any host.
 """
 
 import contextlib
@@ -43,6 +44,7 @@ GOLDEN = {
 # buffer size, seed, clock).
 TEMPERATURE_OFFSET = len(STATE_MAGIC) + struct.calcsize("<QHIqd")
 CLOCK_OFFSET = TEMPERATURE_OFFSET - struct.calcsize("<d")
+COUNT_OFFSET = len(STATE_MAGIC)
 WORD_LENGTH_OFFSET = len(STATE_MAGIC) + struct.calcsize("<Q")
 BUFFER_SIZE_OFFSET = len(STATE_MAGIC) + struct.calcsize("<QH")
 
@@ -141,6 +143,88 @@ def test_load_state_rejects_trailing_bytes(profile):
     blob = worn_chip(profile).save_state() + b"\x00"
     with pytest.raises(rrsim.FormatError, match="payload"):
         rrsim.load_state(blob, profile)
+
+
+# -- files -------------------------------------------------------------------
+
+def baked_chip(profile):
+    chip = worn_chip(profile)
+    chip.bake(80.0, 2 * 86400.0)
+    return chip
+
+
+def negative_zero_chip(profile):
+    chip = worn_chip(profile)
+    chip.set_temperature(-0.0)
+    return chip
+
+
+# Chips whose files must read back the same through a file and through bytes.
+FILE_CHIPS = {
+    "fresh": lambda profile: fresh_chip(profile, seed=4, addresses=4096),
+    "worn": worn_chip,
+    "baked": baked_chip,
+    "-0.0 C": negative_zero_chip,
+}
+
+
+def fields(chip):
+    """Everything a chip holds but its cell arrays."""
+    return {k: v for k, v in vars(chip).items() if not isinstance(v, np.ndarray)}
+
+
+@pytest.mark.parametrize("kind", sorted(FILE_CHIPS))
+def test_file_io_matches_bytes_io(profile, tmp_path, kind):
+    chip = FILE_CHIPS[kind](profile)
+    path = tmp_path / "chip.bin"
+    with open(path, "wb") as fh:
+        chip.write_state(fh)
+    assert path.read_bytes() == chip.save_state()
+    with open(path, "rb") as fh:
+        from_file = rrsim.read_state(fh, profile)
+    from_bytes = rrsim.load_state(chip.save_state(), profile)
+    assert from_file == from_bytes == chip
+    assert fields(from_file) == fields(from_bytes)
+    assert from_file.save_state() == from_bytes.save_state()
+
+
+def packed(fmt, offset, value):
+    def corrupt(blob):
+        blob = bytearray(blob)
+        struct.pack_into(fmt, blob, offset, value)
+        return bytes(blob)
+    return corrupt
+
+
+CORRUPT_FILES = {
+    "2**40 cells": packed("<Q", COUNT_OFFSET, 2**40),
+    "empty": lambda blob: b"",
+    "bad magic": lambda blob: b"NOTRR" + blob[5:],
+    "truncated": lambda blob: blob[:-1],
+    "one byte too long": lambda blob: blob + b"\0",
+    "NaN clock": packed("<d", CLOCK_OFFSET, math.nan),
+}
+
+
+@pytest.mark.parametrize("what", sorted(CORRUPT_FILES))
+def test_read_state_refuses_corrupt_file(profile, tmp_path, capsys, what):
+    path, key = tmp_path / "chip.bin", tmp_path / "key.json"
+    path.write_bytes(CORRUPT_FILES[what](worn_chip(profile).save_state()))
+
+    def refused():
+        with open(path, "rb") as fh, pytest.raises(rrsim.FormatError):
+            rrsim.read_state(fh, profile)
+
+    # Refused from the header, before the cell table is allocated.
+    _, peak = traced_peak(refused)
+    assert peak <= 64 * 1024
+    rrsim.save_key(rrsim.generate_key(32, 0, 256, 1, 15_000, 0), key)
+    assert cli.main(["retrieve", "--key", str(key), "--chip", str(path)]) == \
+        cli.EXIT_FORMAT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("format error: ")
+    assert "Traceback" not in captured.err
 
 
 # -- header and wear-field checks --------------------------------------------
@@ -269,7 +353,7 @@ def test_signed_zeros_are_different_chips(profile):
 
 # -- allocation budget -------------------------------------------------------
 
-def test_state_io_allocation_budget(profile):
+def test_state_io_allocation_budget(profile, tmp_path):
     chip = fresh_chip(profile, seed=5, addresses=FULL_CHIP)
     chip.apply_stress_pairs(np.arange(1000, 9192), 15_000)
     # The chip holds its cells in the file's own 5-byte records, so each
@@ -279,6 +363,16 @@ def test_state_io_allocation_budget(profile):
     twin, load_extra = traced_peak(lambda: rrsim.load_state(state, profile))
     assert load_extra <= 5 * FULL_CHIP + 64 * 1024
     assert twin == chip
+    # The file paths stream the table: no copy of it on the way out, and
+    # only the chip's own table on the way in.
+    path = tmp_path / "chip.bin"
+    with open(path, "wb") as fh:
+        _, write_extra = traced_peak(lambda: chip.write_state(fh))
+    assert write_extra <= 64 * 1024
+    with open(path, "rb") as fh:
+        from_file, read_extra = traced_peak(lambda: rrsim.read_state(fh, profile))
+    assert read_extra <= 5 * FULL_CHIP + 64 * 1024
+    assert from_file == chip
     copy, clone_extra = traced_peak(chip.clone)
     assert clone_extra <= 5 * FULL_CHIP + 64 * 1024
     assert copy == chip
