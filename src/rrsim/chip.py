@@ -17,6 +17,7 @@ produce for the same operation sequence.
 from __future__ import annotations
 
 import hashlib
+import io
 import os
 import struct
 from dataclasses import dataclass
@@ -67,15 +68,14 @@ class WriteResult:
     seconds: float
 
 
+@dataclass(frozen=True, eq=False)
 class TimingTrace:
-    """Ordered set/reset time samples per measured address."""
+    """Ordered set/reset time samples per measured address: int64
+    addresses and float times, all of one length."""
 
-    def __init__(self, addresses, set_times, reset_times):
-        self.addresses = np.asarray(addresses, dtype=np.int64)
-        self.set_times = np.asarray(set_times, dtype=float)
-        self.reset_times = np.asarray(reset_times, dtype=float)
-        if not (len(self.addresses) == len(self.set_times) == len(self.reset_times)):
-            raise ConfigurationError("trace arrays must have equal length")
+    addresses: np.ndarray
+    set_times: np.ndarray
+    reset_times: np.ndarray
 
     def __len__(self):
         return len(self.addresses)
@@ -414,34 +414,23 @@ def load_state(data, profile: CalibrationProfile | None = None) -> ChipModel:
     """Rebuild a chip from `save_state` output; raises FormatError if corrupt.
 
     `data` may be any C-contiguous bytes-like object (`bytes`, `bytearray`,
-    `memoryview`, a uint8 array).  The cell records are copied once, as
-    bytes, into the chip's own table.
+    `memoryview`, a uint8 array).  It is read by `read_state`, which copies
+    the cell records once, as bytes, into the chip's own table; any input
+    but `bytes` is copied once more first.
     """
-    data = memoryview(data).cast("B")
-    return _restore(data[:_FILE_HEAD], len(data) - _FILE_HEAD, profile,
-                    lambda table: np.copyto(table, data[_FILE_HEAD:]))
+    return read_state(io.BytesIO(data), profile)
 
 
 def read_state(fh, profile: CalibrationProfile | None = None) -> ChipModel:
-    """Read a chip from the binary file `fh`, positioned at a state file's
-    start, straight into the chip's own table; raises FormatError as
-    `load_state` does, before the table is allocated if the header is bad
-    or its cell count disagrees with the bytes left in the file."""
+    """Read a chip from the seekable binary file `fh`, positioned at a state
+    file's start, straight into the chip's own table; raises FormatError if
+    corrupt.  The one reader of the state file: every check runs before the
+    table is allocated, the header's cell count against the bytes left in
+    the file included."""
     head = fh.read(_FILE_HEAD)
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
-
-    def fill(table):
-        if fh.readinto(table) != len(table) or fh.read(1):
-            raise FormatError("chip-state file changed length while it was read")
-
-    return _restore(head, left, profile, fill)
-
-
-def _restore(head, cell_bytes: int, profile, fill) -> ChipModel:
-    """The chip a state file describes, from `head` (its first `_FILE_HEAD`
-    bytes, or all of a shorter file) and `cell_bytes`, the length of the
-    rest.  Every check runs before the cell table is allocated; `fill` then
-    writes the table's bytes into the uint8 view it is given."""
+    start = fh.tell()
+    left = fh.seek(0, os.SEEK_END) - start
+    fh.seek(start)
     if head[:len(STATE_MAGIC)] != STATE_MAGIC:
         raise FormatError("bad magic: not a chip-state file")
     if len(head) < _FILE_HEAD:
@@ -449,16 +438,18 @@ def _restore(head, cell_bytes: int, profile, fill) -> ChipModel:
     (address_count, word_length, buffer_size, seed, clock, temperature,
      random_delay) = struct.unpack_from(_HEAD_FORMAT, head, len(STATE_MAGIC))
     expected = address_count * _CELL_DTYPE.itemsize
-    if cell_bytes != expected:
+    if left != expected:
         raise FormatError(
             f"wrong chip-state payload length: want {expected} cell bytes, "
-            f"have {cell_bytes}")
+            f"have {left}")
     try:
         geometry = ChipGeometry(address_count, word_length, buffer_size)
     except ConfigurationError as exc:
         raise FormatError(f"invalid geometry in state file: {exc}") from exc
     if not 0 <= clock < np.inf:
         raise FormatError(f"clock in state file must be finite and >= 0, not {clock}")
+    if head[-1] > 1:  # the flag, last in the header; `?` reads any nonzero byte as True
+        raise FormatError(f"random-delay flag in state file must be 0 or 1, not {head[-1]}")
     if profile is None:
         profile = default_profile()
     # A new chip's 25 C loads even where the rated range leaves it out.
@@ -468,7 +459,8 @@ def _restore(head, cell_bytes: int, profile, fill) -> ChipModel:
         except ConfigurationError as exc:
             raise FormatError(f"temperature in state file: {exc}") from exc
     cells = np.empty(address_count, dtype=_CELL_DTYPE)
-    fill(cells.view(np.uint8))
+    if fh.readinto(cells.view(np.uint8)) != expected or fh.read(1):
+        raise FormatError("chip-state file changed length while it was read")
     chip = ChipModel.__new__(ChipModel)
     chip._assemble(geometry, profile, seed, random_delay, cells, clock, temperature)
     return chip

@@ -1,9 +1,10 @@
 """Chip-state I/O: pinned full-chip bytes, accepted inputs, memory budget.
 
 The sha256 digests were recorded before `save_state` and `load_state`
-stopped building throwaway buffers, and before the CLI streamed the file
-through `write_state` and `read_state`, so a pass here shows the leaner
-paths write and read the same bytes.  The allocation budgets are
+stopped building throwaway buffers, before the CLI streamed the file
+through `write_state` and `read_state`, and before `load_state` became
+`read_state` on an in-memory file, so a pass here shows the leaner paths
+write and read the same bytes.  The allocation budgets are
 tracemalloc counts, not timings, so they repeat exactly on any host.
 """
 
@@ -11,6 +12,7 @@ import contextlib
 import hashlib
 import io
 import math
+import os
 import struct
 
 import numpy as np
@@ -47,6 +49,7 @@ CLOCK_OFFSET = TEMPERATURE_OFFSET - struct.calcsize("<d")
 COUNT_OFFSET = len(STATE_MAGIC)
 WORD_LENGTH_OFFSET = len(STATE_MAGIC) + struct.calcsize("<Q")
 BUFFER_SIZE_OFFSET = len(STATE_MAGIC) + struct.calcsize("<QH")
+DELAY_FLAG_OFFSET = TEMPERATURE_OFFSET + struct.calcsize("<d")
 
 
 def sha(data: bytes) -> str:
@@ -203,17 +206,22 @@ CORRUPT_FILES = {
     "truncated": lambda blob: blob[:-1],
     "one byte too long": lambda blob: blob + b"\0",
     "NaN clock": packed("<d", CLOCK_OFFSET, math.nan),
+    # The flag is packed as `?`, which would read any nonzero byte as True.
+    "delay flag 7": packed("<B", DELAY_FLAG_OFFSET, 7),
 }
 
 
 @pytest.mark.parametrize("what", sorted(CORRUPT_FILES))
 def test_read_state_refuses_corrupt_file(profile, tmp_path, capsys, what):
     path, key = tmp_path / "chip.bin", tmp_path / "key.json"
-    path.write_bytes(CORRUPT_FILES[what](worn_chip(profile).save_state()))
+    blob = CORRUPT_FILES[what](worn_chip(profile).save_state())
+    path.write_bytes(blob)
 
     def refused():
         with open(path, "rb") as fh, pytest.raises(rrsim.FormatError):
             rrsim.read_state(fh, profile)
+        with pytest.raises(rrsim.FormatError):
+            rrsim.load_state(blob, profile)
 
     # Refused from the header, before the cell table is allocated.
     _, peak = traced_peak(refused)
@@ -221,6 +229,35 @@ def test_read_state_refuses_corrupt_file(profile, tmp_path, capsys, what):
     rrsim.save_key(rrsim.generate_key(32, 0, 256, 1, 15_000, 0), key)
     assert cli.main(["retrieve", "--key", str(key), "--chip", str(path)]) == \
         cli.EXIT_FORMAT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("format error: ")
+    assert "Traceback" not in captured.err
+
+
+def test_read_state_after_a_prefix(profile, tmp_path):
+    # The reader counts the file's bytes from where the state starts.
+    chip = worn_chip(profile)
+    path = tmp_path / "chip.bin"
+    with open(path, "wb") as fh:
+        fh.write(b"prefix")
+        chip.write_state(fh)
+    with open(path, "rb") as fh:
+        assert fh.read(6) == b"prefix"
+        assert rrsim.read_state(fh, profile) == chip
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_retrieve_refuses_unseekable_chip_file(profile, tmp_path, capsys):
+    # The reader seeks to learn the length; a pipe is a format error.
+    key = tmp_path / "key.json"
+    rrsim.save_key(rrsim.generate_key(32, 0, 256, 1, 15_000, 0), key)
+    read_end, write_end = os.pipe()
+    with open(read_end, "rb"):
+        with open(write_end, "wb") as writer:
+            writer.write(fresh_chip(profile, seed=1, addresses=1024).save_state())
+        assert cli.main(["retrieve", "--key", str(key),
+                         "--chip", f"/dev/fd/{read_end}"]) == cli.EXIT_FORMAT
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("format error: ")
