@@ -50,13 +50,10 @@ class ChipGeometry:
     """Addressable layout of the part: 8 Mb chip by default."""
 
     address_count: int = 1_048_576
-    word_length: int = 8
     buffer_size: int = 256
 
     def __post_init__(self):
         whole("address_count", self.address_count, 1)
-        if whole("word_length", self.word_length) != 8:
-            raise ConfigurationError("only 8-bit words are supported")
         whole("buffer_size", self.buffer_size, 1, self.address_count)
 
 
@@ -100,6 +97,9 @@ class ChipModel:
             raise ConfigurationError(
                 f"endurance_max {profile.endurance_max} overflows the state "
                 f"file's uint32 wear field")
+        if not isinstance(random_delay_enabled, bool):  # the header's flag byte
+            raise ConfigurationError(
+                f"random_delay_enabled must be True or False, not {random_delay_enabled!r}")
         self.geometry = geometry
         self.profile = profile
         self.seed = int(whole("seed", seed, -2**63, 2**63 - 1))  # the header's int64
@@ -114,18 +114,11 @@ class ChipModel:
     # -- basic state -------------------------------------------------------
 
     @property
-    def stress_pairs(self):
-        """Per-cell completed set-reset pairs (float, fractional wear counts)."""
-        return self._units / UNITS_PER_PAIR
-
-    @property
     def values(self):
-        return self._values
-
-    def stress_count(self, address: int) -> int:
-        """Completed pairs at one address (whole pairs)."""
-        self._check_range(address, 1)
-        return int(self._units[address]) // UNITS_PER_PAIR
+        """The stored bytes, as a read-only view."""
+        view = self._values.view()
+        view.flags.writeable = False
+        return view
 
     def __eq__(self, other):
         if not isinstance(other, ChipModel):
@@ -200,7 +193,10 @@ class ChipModel:
     def _commit(self, seconds: float, cells=None, wear=None, commands=1) -> float:
         """The one step that changes wear and the clock, after the caller's
         checks: store the checked `wear` at `cells`, if given, and add `seconds`
-        once per command (n * t rounds differently from n sums); return the sum."""
+        once per command (n * t rounds differently from n sums); return the sum.
+        Seconds that are an array, not one number, change nothing and are refused."""
+        if np.ndim(seconds):
+            raise ConfigurationError(f"a duration must be one number, not {seconds!r}")
         if cells is not None:
             self._units[cells] = wear
         elapsed = 0.0
@@ -369,18 +365,20 @@ class ChipModel:
         cells make equal files, so chips compare as their files do."""
         g = self.geometry
         return STATE_MAGIC + struct.pack(
-            _HEAD_FORMAT, g.address_count, g.word_length, g.buffer_size,
+            _HEAD_FORMAT, g.address_count, 8, g.buffer_size,  # 8: the word length
             self.seed, self.simulated_clock, self.temperature,
             self.random_delay_enabled)
 
     def save_state(self) -> bytes:
-        """Serialize to the versioned little-endian chip-state format: the
-        header, then one copy of the cell table, which has the file's layout."""
-        return b"".join((self._header(), self._cells))
+        """The state file's bytes, as `write_state` writes them."""
+        fh = io.BytesIO()
+        self.write_state(fh)
+        return fh.getvalue()
 
     def write_state(self, fh) -> None:
-        """Write `save_state()`'s bytes to the buffered binary file `fh`,
-        the cell table straight from the chip's own records, uncopied."""
+        """The one writer of the versioned little-endian chip-state format:
+        the header, then the cell table, written to the binary file `fh`
+        straight from the chip's own records, which have the file's layout."""
         fh.write(self._header())
         fh.write(self._cells.view(np.uint8))
 
@@ -442,8 +440,10 @@ def read_state(fh, profile: CalibrationProfile | None = None) -> ChipModel:
         raise FormatError(
             f"wrong chip-state payload length: want {expected} cell bytes, "
             f"have {left}")
+    if word_length != 8:
+        raise FormatError(f"invalid geometry in state file: word length {word_length}, not 8")
     try:
-        geometry = ChipGeometry(address_count, word_length, buffer_size)
+        geometry = ChipGeometry(address_count, buffer_size)
     except ConfigurationError as exc:
         raise FormatError(f"invalid geometry in state file: {exc}") from exc
     if not 0 <= clock < np.inf:

@@ -117,7 +117,7 @@ def read_records_csv(path) -> list[CharacterizationRecord]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             rows = [ln for ln in fh if not ln.startswith("#")]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read records: {exc}") from exc
     reader = csv.DictReader(rows)
     if reader.fieldnames is None or tuple(reader.fieldnames) != RECORD_COLUMNS:
@@ -200,7 +200,7 @@ def cmd_retrieve(args, profile) -> int:
     if args.chip_out:
         with open(_out(args, args.chip_out), "wb") as fh:
             chip.write_state(fh)
-    print(f"payload: {result.to_hex()}")
+    print(f"payload: {result.payload.to_hex()}")
     print(f"op: {result.op}  method: {args.method}")
     print(f"threshold: {result.threshold_used:.6e} s  "
           f"confidence: {result.confidence:.6e} s")

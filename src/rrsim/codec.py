@@ -73,9 +73,6 @@ class Payload:
         nibbles = -(-len(self.bits) // 4)
         return "0x" + format(value, "0{}X".format(nibbles))
 
-    def to_array(self) -> np.ndarray:
-        return np.array(self.bits, dtype=np.int64)
-
     @classmethod
     def random(cls, length: int, rng) -> "Payload":
         return cls(tuple(int(b) for b in rng.integers(0, 2, whole("length", length, 1))))
@@ -235,7 +232,7 @@ def encode(chip: ChipModel, key: HidingKey, payload: Payload) -> EncodeReport:
         warnings.warn(
             f"target cells already carry {prior.mean():.1f} mean pairs of wear",
             UsedCellsWarning)
-    ones = plan.addresses[payload.to_array()[plan.bit_of_address] == 1]
+    ones = plan.addresses[np.array(payload.bits)[plan.bit_of_address] == 1]
     try:
         busy = _init_to_erased(chip, plan.addresses)
         busy += chip.apply_stress_pairs(ones, key.stress_count)
@@ -272,9 +269,6 @@ class DecodeResult:
     confidence: float           # smallest margin between a bit mean and the cut
     ambiguous: bool
     op: str
-
-    def to_hex(self) -> str:
-        return self.payload.to_hex()
 
 
 def decode(chip: ChipModel, key: HidingKey, method: str = "kmeans",
@@ -433,5 +427,5 @@ def load_key(path) -> HidingKey:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return HidingKey.from_json(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read key file: {exc}") from exc

@@ -333,12 +333,11 @@ def endurance_cost(stress_pairs, rated_pairs) -> Fraction:
 # CSV emission
 # ---------------------------------------------------------------------------
 
-def write_reports_csv(path, sweep_id: str, reports, seed: int | None = None
-                      ) -> None:
-    """One plot-ready CSV per sweep, rows in deterministic grid order."""
+def write_reports_csv(path, sweep_id: str, reports, seed: int) -> None:
+    """One plot-ready CSV per sweep, rows in deterministic grid order,
+    under a comment line that records the seed."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        if seed is not None:
-            fh.write(f"# rrsim {sweep_id} seed={seed}\n")
+        fh.write(f"# rrsim {sweep_id} seed={seed}\n")
         writer = csv.writer(fh)
         writer.writerow(REPORT_COLUMNS)
         for r in reports:

@@ -179,17 +179,16 @@ class CalibrationProfile:
 
     # -- persistence -----------------------------------------------------
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["format"] = PROFILE_FORMAT
-        d["version"] = PROFILE_VERSION
-        return d
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(dict(asdict(self), format=PROFILE_FORMAT, version=PROFILE_VERSION),
+                          indent=2, sort_keys=True)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "CalibrationProfile":
+    def from_json(cls, text: str) -> "CalibrationProfile":
+        try:
+            d = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"profile is not valid JSON: {exc}") from exc
         if not isinstance(d, dict) or d.get("format") != PROFILE_FORMAT:
             raise ConfigurationError("not a profile file")
         if d.get("version") != PROFILE_VERSION:
@@ -202,14 +201,6 @@ class CalibrationProfile:
         except (KeyError, TypeError) as exc:
             raise ConfigurationError(f"malformed profile: {exc}") from exc
 
-    @classmethod
-    def from_json(cls, text: str) -> "CalibrationProfile":
-        try:
-            d = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"profile is not valid JSON: {exc}") from exc
-        return cls.from_dict(d)
-
 
 def save_profile(profile: CalibrationProfile, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
@@ -218,8 +209,11 @@ def save_profile(profile: CalibrationProfile, path) -> None:
 
 
 def load_profile(path) -> CalibrationProfile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return CalibrationProfile.from_json(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return CalibrationProfile.from_json(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"profile is not UTF-8 text: {exc}") from exc
 
 
 def default_profile() -> CalibrationProfile:

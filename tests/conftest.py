@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rrsim
+from rrsim.chip import UNITS_PER_PAIR
 
 
 @pytest.fixture(scope="session")
@@ -25,6 +26,13 @@ def chip(profile, small_geometry):
 def fresh_chip(profile, seed, addresses=16384):
     return rrsim.new_chip(rrsim.ChipGeometry(address_count=addresses),
                           profile, seed=seed)
+
+
+def wear_pairs(chip, addresses=None):
+    """Set-reset pairs of wear per cell, as floats; every cell by default."""
+    if addresses is None:
+        addresses = np.arange(chip.geometry.address_count)
+    return chip.wear_units(addresses) / UNITS_PER_PAIR
 
 
 def rng_for(seed):

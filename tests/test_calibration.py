@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rrsim
+from rrsim.chip import UNITS_PER_PAIR
 from rrsim.calibration import _expected_range, synthesize_records
 from conftest import fresh_chip, rng_for
 
@@ -48,7 +49,7 @@ class TestCharacterize:
         rrsim.characterize(chip, np.arange(256), max_pairs=2000,
                            sample_interval=1000)
         # Levels sampled at 0, 1000, 2000; final sample adds its own pair.
-        assert chip.stress_count(0) == 2001
+        assert chip.wear_units([0])[0] // UNITS_PER_PAIR == 2001
 
 
 class TestFitProfile:

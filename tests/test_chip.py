@@ -7,7 +7,7 @@ import pytest
 
 import rrsim
 from rrsim.chip import UNITS_PER_PAIR
-from conftest import fresh_chip, rng_for
+from conftest import fresh_chip, rng_for, wear_pairs
 
 
 class TestConstruction:
@@ -15,14 +15,13 @@ class TestConstruction:
         chip = fresh_chip(profile, seed=42, addresses=1024)
         assert chip.geometry.address_count == 1024
         assert np.all(chip.values == 0xFF)
-        assert np.all(chip.stress_pairs == 0)
+        assert np.all(wear_pairs(chip) == 0)
         assert chip.simulated_clock == 0.0
         assert chip.temperature == 25.0
 
     def test_default_geometry_is_8mb(self):
         geom = rrsim.ChipGeometry()
         assert geom.address_count == 1_048_576
-        assert geom.word_length == 8
         assert geom.buffer_size == 256
 
     def test_zero_addresses_rejected(self, profile):
@@ -30,18 +29,25 @@ class TestConstruction:
             rrsim.new_chip(rrsim.ChipGeometry(address_count=0), profile, seed=1)
 
     @pytest.mark.parametrize("fields", [
-        {"address_count": 0}, {"word_length": 16}, {"buffer_size": 0},
+        {"address_count": 0}, {"buffer_size": 0},
         {"address_count": 128},  # buffer of 256 larger than the chip
         {"address_count": 4096.5}, {"buffer_size": 256.0},
-        {"buffer_size": True}, {"word_length": 8.0}])
+        {"buffer_size": True}])
     def test_bad_geometry_refused_when_built(self, fields):
         with pytest.raises(rrsim.ConfigurationError):
             rrsim.ChipGeometry(**fields)
 
+    def test_values_are_read_only(self, chip):
+        # A write through the view would change data with no wear or clock.
+        state = chip.save_state()
+        with pytest.raises(ValueError):
+            chip.values[0] = 0
+        assert chip.save_state() == state
+
     def test_full_size_chip_constructs_fresh(self, profile):
         chip = rrsim.new_chip(rrsim.ChipGeometry(), profile, seed=42)
         assert len(chip.values) == 1_048_576
-        assert chip.stress_pairs.sum() == 0
+        assert wear_pairs(chip).sum() == 0
 
     def test_same_seed_same_first_sample(self, profile, small_geometry):
         a = rrsim.new_chip(small_geometry, profile, seed=7)
@@ -71,19 +77,19 @@ class TestTimedWrite:
         r = chip.timed_write(5, 0xFF)
         assert r.kind == "noop"
         assert r.seconds == profile.noop_time
-        assert chip.stress_count(5) == 0
+        assert wear_pairs(chip, [5])[0] == 0
 
     def test_full_toggle_wear_is_half_pair_each_way(self, chip):
         chip.timed_write(9, 0x00)
-        assert chip.stress_pairs[9] == 0.5
+        assert wear_pairs(chip)[9] == 0.5
         chip.timed_write(9, 0xFF)
-        assert chip.stress_pairs[9] == 1.0
-        assert chip.stress_count(9) == 1
+        assert wear_pairs(chip)[9] == 1.0
+        assert wear_pairs(chip, [9])[0] == 1
 
     def test_partial_toggle_stresses_only_toggled_bits(self, chip):
         # 0xFF -> 0xF0 toggles four bits: a quarter pair of byte wear.
         chip.timed_write(3, 0xF0)
-        assert chip.stress_pairs[3] == 4 / UNITS_PER_PAIR
+        assert wear_pairs(chip)[3] == 4 / UNITS_PER_PAIR
 
     def test_mean_at_15k_stress_is_about_250us(self, profile):
         chip = fresh_chip(profile, seed=42, addresses=512)
@@ -110,7 +116,7 @@ class TestTimedWrite:
         chip = fresh_chip(profile, seed=1, addresses=512)
         chip.apply_stress_pairs([0], profile.endurance_max)
         chip.timed_write(0, 0x00)  # at the limit: allowed, and now past it
-        assert chip.stress_pairs[0] > profile.endurance_max
+        assert wear_pairs(chip)[0] > profile.endurance_max
         units, clock = chip.wear_units([0]), chip.simulated_clock
         result = chip.timed_write(0, 0x00)
         assert (result.kind, result.seconds) == ("noop", profile.noop_time)
@@ -127,18 +133,18 @@ class TestBufferedWrite:
         t = chip.buffered_write(0, zeros) + chip.buffered_write(0, ones)
         assert t == pytest.approx(10e-3)
         assert t == pytest.approx(2 * profile.buffered_command_time)
-        assert np.all(chip.stress_pairs[:256] == 1.0)
+        assert np.all(wear_pairs(chip)[:256] == 1.0)
 
     def test_rewriting_current_contents_adds_no_stress(self, chip):
         ones = np.full(256, 0xFF, dtype=np.uint8)
         chip.buffered_write(512, ones)
-        assert np.all(chip.stress_pairs[512:768] == 0)
+        assert np.all(wear_pairs(chip)[512:768] == 0)
 
     def test_bulk_pairs_accounting(self, chip):
         addrs = np.arange(256)
         chip.apply_stress_pairs(addrs, 15_000)
-        assert np.all(chip.stress_pairs[:256] == 15_000)
-        assert np.all(chip.stress_pairs[256:] == 0)
+        assert np.all(wear_pairs(chip)[:256] == 15_000)
+        assert np.all(wear_pairs(chip)[256:] == 0)
 
     def test_bulk_pair_cost_matches_buffered_pair(self, chip, profile):
         elapsed = chip.apply_stress_pairs(np.arange(256), 100)
@@ -178,8 +184,7 @@ def test_huge_wear_counts_wear_out_and_change_nothing(profile, call):
 def test_wear_reads_widen_the_stored_uint32(chip):
     chip.apply_stress_pairs(np.arange(4), 3)
     assert chip.wear_units(np.arange(4)).dtype == np.int64
-    assert chip.stress_pairs.dtype == np.float64
-    assert chip.stress_pairs[:4].tolist() == [3.0] * 4
+    assert chip.wear_units(np.arange(4)).tolist() == [3 * UNITS_PER_PAIR] * 4
 
 
 class TestMeasureTrace:
@@ -196,14 +201,14 @@ class TestMeasureTrace:
 
     def test_measurement_adds_one_pair(self, chip):
         chip.measure_trace(np.arange(10))
-        assert np.all(chip.stress_pairs[:10] == 1.0)
+        assert np.all(wear_pairs(chip)[:10] == 1.0)
         chip.measure_trace(np.arange(10))
-        assert np.all(chip.stress_pairs[:10] == 2.0)
+        assert np.all(wear_pairs(chip)[:10] == 2.0)
 
     def test_repeat_address_measured_at_incremented_wear(self, chip):
         first = chip.measure_trace([4])
         second = chip.measure_trace([4])
-        assert chip.stress_count(4) == 2
+        assert wear_pairs(chip, [4])[0] == 2
         # The second call draws at the wear the first one left.
         assert first.set_times[0] != second.set_times[0]
         # The bytes and clock `measure_trace([4, 4])` gave while repeated
@@ -227,7 +232,7 @@ class TestMeasureTrace:
         # Wear never decreases, whatever the operation mix.
         rng = rng_for(123)
         chip = fresh_chip(profile, seed=9, addresses=2048)
-        last = chip.stress_pairs.copy()
+        last = wear_pairs(chip).copy()
         for _ in range(60):
             op = rng.integers(0, 3)
             if op == 0:
@@ -239,7 +244,7 @@ class TestMeasureTrace:
                                                        dtype=np.uint8))
             else:
                 chip.measure_trace(np.unique(rng.integers(0, 2048, 16)))
-            pairs = chip.stress_pairs
+            pairs = wear_pairs(chip)
             assert np.all(pairs >= last)
             last = pairs.copy()
 
@@ -256,7 +261,7 @@ class TestRandomDelay:
         assert np.all(extra >= 0)
         assert np.all(extra <= profile.jitter_max)
         assert np.any(extra > 0)
-        assert np.array_equal(plain.stress_pairs, noisy.stress_pairs)
+        assert np.array_equal(wear_pairs(plain), wear_pairs(noisy))
 
     def test_delay_flag_is_part_of_equality(self, profile, small_geometry):
         # The two chips measure differently, so they must not compare equal.
@@ -386,7 +391,7 @@ REFUSED_CALLS = {
     "write-float-value": lambda chip, rng: chip.timed_write(3, 2.5),
     "buffer-float-base": lambda chip, rng: chip.buffered_write(
         256.0, np.zeros(256, dtype=np.uint8)),
-    "stress-count-float-address": lambda chip, rng: chip.stress_count(1.5),
+    "wear-float-address": lambda chip, rng: chip.wear_units(np.array([1.5])),
     "chip-float-seed": lambda chip, rng: rrsim.new_chip(chip.geometry, chip.profile, 2.5),
     "chip-seed-past-int64": lambda chip, rng: rrsim.new_chip(
         chip.geometry, chip.profile, 2**63),
@@ -419,6 +424,13 @@ REFUSED_CALLS = {
     "sweep-float-size": lambda chip, rng: rrsim.sweep_replica_size(chip.clone, [32.7]),
     "temperature-bool": lambda chip, rng: chip.set_temperature(True),
     "bake-bool-temperature": lambda chip, rng: chip.bake(True, 10.0),
+    # The clock is one number; an array duration once became the clock.
+    "age-array-duration": lambda chip, rng: chip.age_retention(np.array([1.0, 2.0])),
+    "bake-array-duration": lambda chip, rng: chip.bake(30.0, np.array([5.0])),
+    "transitions-array-seconds": lambda chip, rng: chip.apply_transitions(
+        [1, 2], [3, 4], np.array([1.0, 2.0])),
+    "chip-string-delay-flag": lambda chip, rng: rrsim.new_chip(
+        rrsim.ChipGeometry(1024), None, 1, "no"),
 }
 
 

@@ -81,6 +81,26 @@ class TestHideRetrieve:
                     "--chip", str(workdir / "chip.bin")])
         assert code == cli.EXIT_FORMAT
 
+    def test_key_file_not_utf8_is_format_error(self, workdir, capsys):
+        run(hide_args(workdir))
+        (workdir / "key.json").write_bytes(b"\xff\xfe{}")
+        capsys.readouterr()
+        code = run(["retrieve", "--key", str(workdir / "key.json"),
+                    "--chip", str(workdir / "chip.bin")])
+        assert code == cli.EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert err.startswith("format error: ") and "Traceback" not in err
+
+    def test_profile_not_utf8_is_usage_error(self, workdir, capsys):
+        (workdir / "p.json").write_bytes(b"\xff\xfe{}")
+        code = run(["sweep", "--kind", "replica-size", "--sizes", "32",
+                    "--profile", str(workdir / "p.json"),
+                    "--out", str(workdir / "sweep.csv")])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (workdir / "sweep.csv").exists()
+
     def test_corrupt_chip_state_is_format_error(self, workdir):
         run(hide_args(workdir))
         (workdir / "chip.bin").write_bytes(b"garbage")
@@ -208,6 +228,11 @@ class TestRecordsCsv:
     def test_malformed_row_is_format_error(self, workdir, row):
         (workdir / "rec.csv").write_text(f"# rrsim\n{self.HEADER}\n{row}\n")
         with pytest.raises(rrsim.FormatError):
+            cli.read_records_csv(workdir / "rec.csv")
+
+    def test_not_utf8_is_format_error(self, workdir):
+        (workdir / "rec.csv").write_bytes(b"\xff\xfe" + self.HEADER.encode())
+        with pytest.raises(rrsim.FormatError, match="cannot read records"):
             cli.read_records_csv(workdir / "rec.csv")
 
     def test_wrong_header_is_format_error(self, workdir):

@@ -9,7 +9,7 @@ import pytest
 import rrsim
 from rrsim.chip import UNITS_PER_PAIR
 from rrsim.codec import best_threshold, rotate_left
-from conftest import fresh_chip, rng_for
+from conftest import fresh_chip, rng_for, wear_pairs
 
 
 class TestPayload:
@@ -101,7 +101,7 @@ class TestAddressPlan:
         payload = rrsim.Payload.from_hex("0x80", length=8)
         key = rrsim.HidingKey(0, 1, 1, (1,), 8, 15_000)
         plan = rrsim.AddressPlan(key, small_geometry)
-        stored = payload.to_array()[plan.bit_of_address[:8]]
+        stored = np.array(payload.bits)[plan.bit_of_address[:8]]
         assert list(stored) == [0, 0, 0, 0, 0, 0, 0, 1]
 
     def test_bits_are_disjoint_and_cover(self, small_geometry):
@@ -145,7 +145,7 @@ class TestEncode:
     def test_all_zeros_payload_no_stress(self, chip):
         key = rrsim.HidingKey(0, 256, 1, (0,), 32, 15_000)
         rrsim.encode(chip, key, rrsim.Payload((0,) * 32))
-        assert np.all(chip.stress_pairs[:8192] == 0)
+        assert np.all(wear_pairs(chip)[:8192] == 0)
 
     def test_wear_split_between_one_and_zero_bits(self, chip):
         key = rrsim.HidingKey(0, 256, 1, (0,), 32, 15_000)
@@ -153,7 +153,7 @@ class TestEncode:
         plan = rrsim.AddressPlan(key, chip.geometry)
         rrsim.encode(chip, key, payload)
         for b, bit in enumerate(payload.bits):
-            pairs = chip.stress_pairs[plan.addresses_for_bit(b)]
+            pairs = wear_pairs(chip)[plan.addresses_for_bit(b)]
             assert np.all(pairs == (15_000 if bit else 0))
 
     def test_length_mismatch_rejected(self, chip):
@@ -199,7 +199,7 @@ class TestDecode:
         payload = rrsim.Payload.from_hex("0xECE3038B")
         rrsim.encode(chip, key, payload)
         result = rrsim.decode(chip, key)
-        assert result.to_hex() == "0xECE3038B"
+        assert result.payload.to_hex() == "0xECE3038B"
         assert not result.ambiguous
 
     def test_round_trip_with_reset_times(self, profile):
@@ -208,7 +208,7 @@ class TestDecode:
         payload = rrsim.Payload.from_hex("0xECE3038B")
         rrsim.encode(chip, key, payload)
         result = rrsim.decode(chip, key, op="reset")
-        assert result.to_hex() == "0xECE3038B"
+        assert result.payload.to_hex() == "0xECE3038B"
 
     def test_round_trip_rotated_rows(self, profile):
         chip = fresh_chip(profile, seed=77)
@@ -216,7 +216,7 @@ class TestDecode:
                                  geometry=chip.geometry)
         payload = rrsim.Payload.from_hex("0xDEADBEEF")
         rrsim.encode(chip, key, payload)
-        assert rrsim.decode(chip, key).to_hex() == "0xDEADBEEF"
+        assert rrsim.decode(chip, key).payload.to_hex() == "0xDEADBEEF"
 
     def test_fresh_chip_decode_is_ambiguous(self, profile):
         chip = fresh_chip(profile, seed=15)
@@ -229,11 +229,11 @@ class TestDecode:
         chip = fresh_chip(profile, seed=16)
         key = rrsim.HidingKey(0, 256, 1, (0,), 32, 15_000)
         rrsim.encode(chip, key, rrsim.Payload.from_hex("0xECE3038B"))
-        before = chip.stress_pairs[:8192].copy()
+        before = wear_pairs(chip)[:8192].copy()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             rrsim.decode(chip, key)
-        assert np.all(chip.stress_pairs[:8192] - before == 1.0)
+        assert np.all(wear_pairs(chip)[:8192] - before == 1.0)
 
     def test_threshold_method(self, profile):
         chip = fresh_chip(profile, seed=17)
@@ -242,7 +242,7 @@ class TestDecode:
         rrsim.encode(chip, key, payload)
         cut = 0.5 * (profile.mean_time("set", 0) + profile.mean_time("set", 15_000))
         result = rrsim.decode(chip, key, method="threshold", threshold=cut)
-        assert result.to_hex() == "0x0000FFFF"
+        assert result.payload.to_hex() == "0x0000FFFF"
 
     def test_threshold_zero_decodes_all_ones(self, profile):
         chip = fresh_chip(profile, seed=18)
@@ -258,7 +258,7 @@ class TestDecode:
         spare = np.arange(8192, 8448)
         result = rrsim.decode(chip, key, method="reference",
                               reference_addresses=spare)
-        assert result.to_hex() == "0xECE3038B"
+        assert result.payload.to_hex() == "0xECE3038B"
 
     def test_single_perturbed_rotation_gives_chance_agreement(self, profile):
         # One replica: a wrong displacement misaligns every position.
@@ -393,7 +393,7 @@ class TestReferenceOverlap:
         chip, key = self.hidden(profile, 256)
         result = rrsim.decode(chip, key, method="reference",
                               reference_addresses=np.arange(first, first + 256))
-        assert result.to_hex() == "0xECE3038B"
+        assert result.payload.to_hex() == "0xECE3038B"
 
 
 class TestDecodeArgumentsCheckedFirst:

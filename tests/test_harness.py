@@ -8,7 +8,7 @@ import pytest
 
 import rrsim
 from rrsim import harness
-from conftest import fresh_chip, rng_for
+from conftest import fresh_chip, rng_for, wear_pairs
 
 
 def report_invariants_ok(report):
@@ -21,18 +21,18 @@ def report_invariants_ok(report):
 class TestSimulateUsage:
     def test_worst_case_accounting(self, chip):
         harness.simulate_usage(chip, harness.WORST_CASE, 50_000, (100, 300))
-        assert np.all(chip.stress_pairs[100:400] == 50_000)
-        assert np.all(chip.stress_pairs[:100] == 0)
-        assert np.all(chip.stress_pairs[400:] == 0)
+        assert np.all(wear_pairs(chip)[100:400] == 50_000)
+        assert np.all(wear_pairs(chip)[:100] == 0)
+        assert np.all(wear_pairs(chip)[400:] == 0)
 
     def test_zero_cycles_is_identity(self, chip):
         harness.simulate_usage(chip, harness.REALISTIC, 0, (0, 1024))
-        assert np.all(chip.stress_pairs == 0)
+        assert np.all(wear_pairs(chip) == 0)
         assert chip.simulated_clock == 0.0
 
     def test_realistic_mean_wear_tracks_cycles(self, chip):
         harness.simulate_usage(chip, harness.REALISTIC, 20_000, (0, 2048))
-        mean_pairs = chip.stress_pairs[:2048].mean()
+        mean_pairs = wear_pairs(chip)[:2048].mean()
         assert mean_pairs == pytest.approx(20_000, rel=0.02)
 
     def test_realistic_pattern_is_lsb_heavy(self):
@@ -196,9 +196,9 @@ class TestAttacks:
 
     def test_attack_leaves_original_chip_unworn(self, profile):
         chip, key, payload = self._victim(profile, seed=95)
-        wear = chip.stress_pairs.copy()
+        wear = wear_pairs(chip).copy()
         harness.attack_wrong_base(chip, key, payload, "case3")
-        assert np.array_equal(chip.stress_pairs, wear)
+        assert np.array_equal(wear_pairs(chip), wear)
 
 
 class TestSweeps:
@@ -359,11 +359,12 @@ class TestCsv:
         reps = harness.sweep_replica_size(
             lambda: fresh_chip(profile, next(seeds)), (32, 256), rng_seed=2)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        harness.write_reports_csv(p1, "replica", reps)
-        harness.write_reports_csv(p2, "replica", reps)
+        harness.write_reports_csv(p1, "replica", reps, seed=2)
+        harness.write_reports_csv(p2, "replica", reps, seed=2)
         assert p1.read_bytes() == p2.read_bytes()
-        header = p1.read_text().splitlines()[0]
-        assert header == "sweep_id,N,post_stress,op,replica_size,min_distance_s,ber,errors"
+        assert p1.read_text().splitlines()[:2] == [
+            "# rrsim replica seed=2",
+            "sweep_id,N,post_stress,op,replica_size,min_distance_s,ber,errors"]
 
     def test_numpy_grid_writes_the_same_csv(self, tmp_path, profile):
         # Grid points reach the reports as given; whole numbers print alike.
@@ -372,7 +373,7 @@ class TestCsv:
                 lambda: fresh_chip(profile, 7), [15_000], grid)
             reps += harness.sweep_replica_size(
                 lambda: fresh_chip(profile, 8), sizes, rng_seed=2)
-            harness.write_reports_csv(tmp_path / name, "grid", reps)
+            harness.write_reports_csv(tmp_path / name, "grid", reps, seed=7)
             return (tmp_path / name).read_bytes()
 
         assert csv_bytes(range(0, 20_001, 10_000), (32, 64), "a.csv") == \
@@ -380,9 +381,10 @@ class TestCsv:
 
     def test_empty_reports_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
-        harness.write_reports_csv(path, "none", [])
-        assert path.read_text().strip() == \
-            "sweep_id,N,post_stress,op,replica_size,min_distance_s,ber,errors"
+        harness.write_reports_csv(path, "none", [], seed=0)
+        assert path.read_text().splitlines() == [
+            "# rrsim none seed=0",
+            "sweep_id,N,post_stress,op,replica_size,min_distance_s,ber,errors"]
 
 
 def min_distance_oracle(means, truth):

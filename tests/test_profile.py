@@ -1,5 +1,7 @@
 """Profile model: curves, validation, sampling statistics, JSON round-trip."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -85,14 +87,14 @@ def test_endurance_ordering_enforced(profile):
         "boolean-time", "boolean-temperature", "boolean-curve-t0",
         "boolean-curve-p", "version-2", "unknown-field"])
 def test_values_that_break_the_model_rejected(profile, path, value):
-    d = profile.to_dict()
+    d = json.loads(profile.to_json())
     *parents, name = path
     target = d
     for part in parents:
         target = target[part]
     target[name] = value
     with pytest.raises(rrsim.ConfigurationError):
-        CalibrationProfile.from_dict(d)
+        CalibrationProfile.from_json(json.dumps(d))
 
 
 def test_sample_times_are_mean_one_noise(profile):

@@ -60,7 +60,7 @@ def round_trip_digests(chip, key, name):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         result = rrsim.decode(chip, key, method="kmeans")
-    assert result.to_hex() == PAYLOAD
+    assert result.payload.to_hex() == PAYLOAD
     assert np.array_equal(result.bit_means, plan.bit_means(trace.set_times))
     digests[f"{name}.set_times"] = sha(trace.set_times.tobytes())
     digests[f"{name}.reset_times"] = sha(trace.reset_times.tobytes())
@@ -172,6 +172,6 @@ def test_reencode_warning_text_reads_footprint_wear(profile):
         rrsim.encode(chip, BLOCK_KEY, payload)
     texts = [str(w.message) for w in caught
              if issubclass(w.category, rrsim.UsedCellsWarning)]
-    ones = np.count_nonzero(payload.to_array())
+    ones = np.count_nonzero(np.array(payload.bits))
     mean = ones * 250 * 15_000 / 8000
     assert texts == [f"target cells already carry {mean:.1f} mean pairs of wear"]
