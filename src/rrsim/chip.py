@@ -190,19 +190,26 @@ class ChipModel:
             raise WearOutError(_PAST_ENDURANCE,
                                addresses=np.atleast_1d(addrs[mask]).tolist())
 
-    def _commit(self, seconds: float, cells=None, wear=None, commands=1) -> float:
-        """The one step that changes wear and the clock, after the caller's
-        checks: store the checked `wear` at `cells`, if given, and add `seconds`
-        once per command (n * t rounds differently from n sums); return the sum.
-        Seconds that are an array, not one number, change nothing and are refused."""
+    def _commit(self, seconds: float, cells=None, wear=None, commands=1,
+                values=None) -> float:
+        """The one step that changes wear, values and the clock, after the
+        caller's checks: store the checked `wear` and any `values` at `cells`,
+        and add `seconds` once per command (n * t rounds differently from n
+        sums); return the sum.  An array of seconds, or a clock sum past the
+        largest float, changes nothing and is refused."""
         if np.ndim(seconds):
             raise ConfigurationError(f"a duration must be one number, not {seconds!r}")
-        if cells is not None:
-            self._units[cells] = wear
-        elapsed = 0.0
+        elapsed, clock = 0.0, self.simulated_clock
         for _ in range(commands):
             elapsed += seconds
-            self.simulated_clock += seconds
+            clock += seconds
+        if not clock < np.inf:
+            raise ConfigurationError("the simulated clock would pass the largest float")
+        if cells is not None:
+            self._units[cells] = wear
+            if values is not None:
+                self._values[cells] = values
+        self.simulated_clock = clock
         return elapsed
 
     # -- writes ------------------------------------------------------------
@@ -230,8 +237,8 @@ class ChipModel:
         seconds = float(self.profile.sample_times(kind, stress, rng, scale=self._scale()))
         if self.random_delay_enabled:
             seconds += float(rng.uniform(0.0, self.profile.jitter_max))
-        self._values[address] = value
-        return WriteResult(kind, self._commit(seconds, cell, wear + int(_POPCOUNT[toggled])))
+        return WriteResult(kind, self._commit(seconds, cell, wear + int(_POPCOUNT[toggled]),
+                                              values=value))
 
     def buffered_write(self, base_address: int, values) -> float:
         """Write whole buffers of bytes, one flat-latency command per buffer.
@@ -255,9 +262,8 @@ class ChipModel:
         wear = self._wear(sl)
         hot = np.flatnonzero(toggled)
         self._check_wear(hot + base_address, wear[hot])
-        self._values[sl] = buf
         return self._commit(self.profile.buffered_command_time, sl,
-                            wear + _POPCOUNT[toggled], len(buf) // size)
+                            wear + _POPCOUNT[toggled], len(buf) // size, buf)
 
     def apply_stress_pairs(self, addresses, pairs: int) -> float:
         """Apply `pairs` alternating all-zeros/all-ones buffered write pairs.
@@ -337,9 +343,8 @@ class ChipModel:
         if self.random_delay_enabled:
             set_times = set_times + rng.uniform(0.0, self.profile.jitter_max, len(addrs))
             reset_times = reset_times + rng.uniform(0.0, self.profile.jitter_max, len(addrs))
-        self._values[cells] = 0xFF
         self._commit(float(set_times.sum() + reset_times.sum()),
-                     cells, wear + UNITS_PER_PAIR)
+                     cells, wear + UNITS_PER_PAIR, values=0xFF)
         return TimingTrace(addrs, set_times, reset_times)
 
     # -- environment -------------------------------------------------------

@@ -15,9 +15,11 @@ import argparse
 import csv
 import dataclasses
 import functools
+import io
 import os
 import sys
 import typing
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +28,8 @@ from . import harness
 from .calibration import CharacterizationRecord, characterize, fit_profile
 from .chip import ChipGeometry, new_chip, read_state
 from .codec import Payload, decode, encode, generate_key, load_key, save_key
-from .errors import ConfigurationError, FormatError, RRSimError, WearOutError
+from .errors import (AmbiguousDecodeWarning, ConfigurationError, FormatError,
+                     RRSimError, WearOutError, read_text, write_csv)
 from .profile import default_profile, load_profile, save_profile
 
 PROFILE_ENV = "RRSIM_PROFILE"
@@ -105,21 +108,13 @@ _RECORD_TYPES = typing.get_type_hints(CharacterizationRecord)
 
 
 def write_records_csv(path, records, seed: int) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# rrsim characterize seed={seed}\n")
-        writer = csv.writer(fh)
-        writer.writerow(RECORD_COLUMNS)
-        # csv writes str(value), the shortest repr for a float.
-        writer.writerows([getattr(r, c) for c in RECORD_COLUMNS] for r in records)
+    write_csv(path, "characterize", seed, RECORD_COLUMNS,
+              ([getattr(r, c) for c in RECORD_COLUMNS] for r in records))
 
 
 def read_records_csv(path) -> list[CharacterizationRecord]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            rows = [ln for ln in fh if not ln.startswith("#")]
-    except (OSError, UnicodeDecodeError) as exc:
-        raise FormatError(f"cannot read records: {exc}") from exc
-    reader = csv.DictReader(rows)
+    text = read_text(path, "records", FormatError)
+    reader = csv.DictReader(ln for ln in io.StringIO(text) if not ln.startswith("#"))
     if reader.fieldnames is None or tuple(reader.fieldnames) != RECORD_COLUMNS:
         raise FormatError("not a characterization records CSV")
     try:
@@ -181,22 +176,24 @@ def cmd_hide(args, profile) -> int:
 def cmd_retrieve(args, profile) -> int:
     key = _key(args)
     chip = _chip(args, profile)
-    # decode checks the method name; only the CLI's spelling is parsed here.
     method, threshold, reference = args.method, None, None
     if method.startswith("threshold:"):
         try:
             threshold = float(method.split(":", 1)[1])
         except ValueError as exc:
             raise ConfigurationError(f"bad threshold in {method!r}") from exc
-        method = "threshold"
     elif method == "reference":
         base = args.reference_base
         if base is None:
             base = key.base_address + key.footprint
         reference = np.arange(base, base + args.reference_count)
+    elif method != "kmeans":
+        raise ConfigurationError(f"unknown decode method {method!r}")
 
-    result = decode(chip, key, method=method, threshold=threshold,
-                    reference_addresses=reference, op=args.op)
+    with warnings.catch_warnings():  # an ambiguous decode is reported below
+        warnings.simplefilter("ignore", AmbiguousDecodeWarning)
+        result = decode(chip, key, threshold=threshold,
+                        reference_addresses=reference, op=args.op)
     if args.chip_out:
         with open(_out(args, args.chip_out), "wb") as fh:
             chip.write_state(fh)

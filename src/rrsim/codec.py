@@ -17,17 +17,16 @@ Two address layouts are supported behind one plan abstraction:
 
 from __future__ import annotations
 
-import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .chip import UNITS_PER_PAIR, ChipGeometry, ChipModel
 from .errors import (AmbiguousDecodeWarning, ConfigurationError, EncodeError,
-                     FormatError, UsedCellsWarning, WearOutError, whole)
+                     FormatError, UsedCellsWarning, WearOutError, dump_document,
+                     load_document, read_text, whole, write_text)
 
-KEY_FORMAT = "rrsim-key"
 KEY_VERSION = 1
 
 
@@ -121,40 +120,18 @@ class HidingKey:
         return self.payload_length * self.replica_size * self.replica_count
 
     def to_json(self) -> str:
-        return json.dumps({
-            "format": KEY_FORMAT,
-            "version": KEY_VERSION,
-            "base_address": self.base_address,
-            "replica_size": self.replica_size,
-            "replica_count": self.replica_count,
-            "rotations": list(self.rotations),
-            "payload_length": self.payload_length,
-            "stress_count": self.stress_count,
-            "layout_mode": self.layout_mode,
-        }, indent=2, sort_keys=True)
+        return dump_document("key", KEY_VERSION,
+                             dict(asdict(self), layout_mode=self.layout_mode))
 
     @classmethod
     def from_json(cls, text: str) -> "HidingKey":
+        fields = load_document(text, "key", KEY_VERSION, FormatError)
+        mode = fields.pop("layout_mode", None)
         try:
-            d = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"key file is not valid JSON: {exc}") from exc
-        if not isinstance(d, dict) or d.get("format") != KEY_FORMAT:
-            raise FormatError("not a hiding-key file")
-        if d.get("version") != KEY_VERSION:
-            raise FormatError(f"unsupported key version {d.get('version')}")
-        try:
-            key = cls(
-                base_address=d["base_address"],
-                replica_size=d["replica_size"],
-                replica_count=d["replica_count"],
-                rotations=tuple(d["rotations"]),
-                payload_length=d["payload_length"],
-                stress_count=d["stress_count"],
-            )
+            key = cls(**dict(fields, rotations=tuple(fields["rotations"])))
         except (KeyError, TypeError, ConfigurationError) as exc:
             raise FormatError(f"malformed key file: {exc}") from exc
-        if d.get("layout_mode") != key.layout_mode:
+        if mode != key.layout_mode:
             raise FormatError("layout_mode inconsistent with replica_count")
         return key
 
@@ -221,18 +198,21 @@ def encode(chip: ChipModel, key: HidingKey, payload: Payload) -> EncodeReport:
     All planned addresses are first initialized to the erased pattern; the
     1-bit cells then receive `key.stress_count` set-reset pairs, applied
     buffer-by-buffer.  Cells holding 0-bits keep their wear untouched.  A
-    cell past endurance in either step raises EncodeError.
+    stress count past the profile's endurance_max, or a cell past endurance
+    in either step, raises EncodeError.
     """
     if len(payload) != key.payload_length:
         raise ConfigurationError(
             f"payload has {len(payload)} bits, key expects {key.payload_length}")
     plan = AddressPlan(key, chip.geometry)
+    ones = plan.addresses[np.array(payload.bits)[plan.bit_of_address] == 1]
+    if key.stress_count > chip.profile.endurance_max:
+        raise EncodeError("stress count is past the profile's endurance_max", addresses=ones)
     prior = chip.wear_units(plan.addresses) / UNITS_PER_PAIR
     if prior.mean() > 0:
         warnings.warn(
             f"target cells already carry {prior.mean():.1f} mean pairs of wear",
             UsedCellsWarning)
-    ones = plan.addresses[np.array(payload.bits)[plan.bit_of_address] == 1]
     try:
         busy = _init_to_erased(chip, plan.addresses)
         busy += chip.apply_stress_pairs(ones, key.stress_count)
@@ -271,39 +251,47 @@ class DecodeResult:
     op: str
 
 
-def decode(chip: ChipModel, key: HidingKey, method: str = "kmeans",
-           threshold: float | None = None, reference_addresses=None,
-           op: str = "set") -> DecodeResult:
-    """Measure the key's footprint and classify each payload bit.
+def decode(chip: ChipModel, key: HidingKey, threshold: float | None = None,
+           reference_addresses=None, op: str = "set") -> DecodeResult:
+    """Measure the key's footprint and classify each payload bit by set
+    times, or reset times for op="reset".
 
-    method is one of "kmeans" (two-cluster split of the bit means),
-    "threshold" (explicit cut, pass `threshold`), or "reference" (cut
-    derived from spare fresh-equivalent cells, pass `reference_addresses`).
-    Set times are used by default; reset times via op="reset".
-    """
+    The cut is `threshold` if given, else derived from `reference_addresses`
+    (spare fresh cells outside the footprint) if given, else the two-cluster
+    split of the bit means; giving both is refused."""
     if op not in ("set", "reset"):
         raise ConfigurationError("op must be 'set' or 'reset'")
-    if method not in ("kmeans", "threshold", "reference"):
-        raise ConfigurationError(f"unknown decode method {method!r}")
-    if method == "threshold" and (threshold is None or not np.isfinite(threshold)):
-        raise ConfigurationError("threshold method needs a finite threshold value")
-    if method == "kmeans":
-        _check_kmeans(key)
-    if method == "reference":
-        if reference_addresses is None or len(reference_addresses) == 0:
-            raise ConfigurationError("reference method needs reference addresses")
+    if threshold is not None and reference_addresses is not None:
+        raise ConfigurationError("give a threshold or reference addresses, not both")
+    if threshold is not None and not np.isfinite(threshold):
+        raise ConfigurationError("decoding needs a finite threshold value")
+    if reference_addresses is not None:
+        if len(reference_addresses) == 0:
+            raise ConfigurationError("reference decoding needs reference addresses")
         reference_addresses = np.asarray(reference_addresses)
         offsets = reference_addresses - key.base_address
         if np.any((offsets >= 0) & (offsets < key.footprint)):
             raise ConfigurationError("reference cells lie inside the footprint")
         chip.wear_units(reference_addresses)  # the chip's address rule, nothing measured
+    elif threshold is None:
+        _check_kmeans(key)
     plan = AddressPlan(key, chip.geometry)
     trace = chip.measure_trace(plan.addresses)
     times = trace.set_times if op == "set" else trace.reset_times
     means = plan.bit_means(times)
 
     ambiguous = False
-    if method == "kmeans":
+    if threshold is not None:
+        cut = float(threshold)
+        bits = (means > cut).astype(np.int64)
+    elif reference_addresses is not None:
+        ref = chip.measure_trace(reference_addresses)
+        ref_mean = float((ref.set_times if op == "set" else ref.reset_times).mean())
+        ratio = (chip.profile.mean_time(op, key.stress_count)
+                 / chip.profile.mean_time(op, 0))
+        cut = 0.5 * (ref_mean + ref_mean * ratio)
+        bits = (means > cut).astype(np.int64)
+    else:
         labels, (c0, c1) = kmeans2(means)
         cut = 0.5 * (c0 + c1)
         bits = labels
@@ -312,16 +300,6 @@ def decode(chip: ChipModel, key: HidingKey, method: str = "kmeans",
             warnings.warn(
                 "cluster separation is within the noise floor; decoded bits "
                 "are a best guess", AmbiguousDecodeWarning)
-    elif method == "threshold":
-        cut = float(threshold)
-        bits = (means > cut).astype(np.int64)
-    else:
-        ref = chip.measure_trace(reference_addresses)
-        ref_mean = float((ref.set_times if op == "set" else ref.reset_times).mean())
-        ratio = (chip.profile.mean_time(op, key.stress_count)
-                 / chip.profile.mean_time(op, 0))
-        cut = 0.5 * (ref_mean + ref_mean * ratio)
-        bits = (means > cut).astype(np.int64)
 
     return DecodeResult(
         payload=Payload(tuple(int(b) for b in bits)),
@@ -336,7 +314,7 @@ def decode(chip: ChipModel, key: HidingKey, method: str = "kmeans",
 def _check_kmeans(key: HidingKey) -> None:
     if key.payload_length < 2:
         raise ConfigurationError("kmeans decoding needs at least two payload "
-                                 "bits; use the reference method")
+                                 "bits; decode by reference addresses")
 
 
 def _is_ambiguous(means, labels, c0, c1) -> bool:
@@ -418,14 +396,8 @@ def best_threshold(values):
 
 
 def save_key(key: HidingKey, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(key.to_json())
-        fh.write("\n")
+    write_text(path, key.to_json() + "\n")
 
 
 def load_key(path) -> HidingKey:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return HidingKey.from_json(fh.read())
-    except (OSError, UnicodeDecodeError) as exc:
-        raise FormatError(f"cannot read key file: {exc}") from exc
+    return HidingKey.from_json(read_text(path, "key file", FormatError))

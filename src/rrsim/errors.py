@@ -1,4 +1,8 @@
-"""Exception and warning types, and the argument rules, shared across the simulator."""
+"""Errors, warnings, argument rules and text files shared across the simulator."""
+
+import csv
+import io
+import json
 
 import numpy as np
 
@@ -71,3 +75,48 @@ def amount(name, value):
     if v.dtype.kind not in "iuf" or v.size and not 0 <= v.min() <= v.max() < np.inf:
         raise ConfigurationError(f"{name} must be a finite number >= 0, not {value!r}")
     return value
+
+
+def read_text(path, what, error):
+    """The UTF-8 text at `path`, every line end read as a newline: the one
+    reader of rrsim's text files; `error` naming `what` if it cannot be read."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what}: {exc}") from exc
+
+
+def write_text(path, text: str) -> None:
+    """The one writer of rrsim's text files: `text` as UTF-8, line ends as given."""
+    with open(path, "wb") as fh:
+        fh.write(text.encode("utf-8"))
+
+
+def dump_document(kind: str, version: int, fields: dict) -> str:
+    """An `rrsim-<kind>` JSON document: `fields`, format and version, keys sorted."""
+    return json.dumps(dict(fields, format=f"rrsim-{kind}", version=version),
+                      indent=2, sort_keys=True)
+
+
+def load_document(text: str, kind: str, version: int, error) -> dict:
+    """The fields of an `rrsim-<kind>` JSON document of `version`, less its
+    format and version; `error` if `text` is not one."""
+    try:
+        fields = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{kind} file is not valid JSON: {exc}") from exc
+    if not isinstance(fields, dict) or fields.pop("format", None) != f"rrsim-{kind}":
+        raise error(f"not an rrsim {kind} file")
+    found = fields.pop("version", None)
+    if found != version:
+        raise error(f"unsupported {kind} file version {found!r}")
+    return fields
+
+
+def write_csv(path, title: str, seed: int, columns, rows) -> None:
+    """`columns`, then `rows`, as CSV after the line `# rrsim <title> seed=<seed>`;
+    csv writes str(value), the shortest repr for a float."""
+    fh = io.StringIO()
+    csv.writer(fh).writerows([columns, *rows])
+    write_text(path, f"# rrsim {title} seed={seed}\n" + fh.getvalue())

@@ -9,7 +9,6 @@ to the existence of a zero-error threshold.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -19,7 +18,7 @@ import numpy as np
 
 from .chip import ChipModel
 from .codec import HidingKey, Payload, _check_kmeans, decode, encode
-from .errors import ConfigurationError, UsedCellsWarning, whole
+from .errors import ConfigurationError, UsedCellsWarning, whole, write_csv
 
 REPORT_COLUMNS = ("sweep_id", "N", "post_stress", "op", "replica_size",
                   "min_distance_s", "ber", "errors")
@@ -196,7 +195,7 @@ def _scored_decode(chip: ChipModel, key: HidingKey, truth: Payload, op: str,
     callers that must keep the chip's state pass a clone."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        result = decode(chip, key, method="kmeans", op=op)
+        result = decode(chip, key, op=op)
     return separation_report(
         result.bit_means, truth.bits, op=op, stress_count=key.stress_count,
         post_stress=post_stress, replica_size=key.replica_size,
@@ -336,12 +335,6 @@ def endurance_cost(stress_pairs, rated_pairs) -> Fraction:
 def write_reports_csv(path, sweep_id: str, reports, seed: int) -> None:
     """One plot-ready CSV per sweep, rows in deterministic grid order,
     under a comment line that records the seed."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# rrsim {sweep_id} seed={seed}\n")
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_COLUMNS)
-        for r in reports:
-            writer.writerow([
-                sweep_id, r.stress_count, r.post_stress, r.op, r.replica_size,
-                repr(r.min_distance), repr(r.ber), r.bit_error_count,
-            ])
+    write_csv(path, sweep_id, seed, REPORT_COLUMNS, (
+        [sweep_id, r.stress_count, r.post_stress, r.op, r.replica_size,
+         repr(r.min_distance), repr(r.ber), r.bit_error_count] for r in reports))

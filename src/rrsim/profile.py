@@ -17,7 +17,6 @@ All times are seconds; stress is counted in set-reset pairs.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, fields
@@ -25,9 +24,9 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ConfigurationError, amount, whole
+from .errors import (ConfigurationError, amount, dump_document, load_document,
+                     read_text, whole, write_text)
 
-PROFILE_FORMAT = "rrsim-profile"
 PROFILE_VERSION = 1
 
 DEFAULT_PROFILE_RESOURCE = "default_mb85as8mt.profile.json"
@@ -180,40 +179,24 @@ class CalibrationProfile:
     # -- persistence -----------------------------------------------------
 
     def to_json(self) -> str:
-        return json.dumps(dict(asdict(self), format=PROFILE_FORMAT, version=PROFILE_VERSION),
-                          indent=2, sort_keys=True)
+        return dump_document("profile", PROFILE_VERSION, asdict(self))
 
     @classmethod
     def from_json(cls, text: str) -> "CalibrationProfile":
+        fields = load_document(text, "profile", PROFILE_VERSION, ConfigurationError)
         try:
-            d = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"profile is not valid JSON: {exc}") from exc
-        if not isinstance(d, dict) or d.get("format") != PROFILE_FORMAT:
-            raise ConfigurationError("not a profile file")
-        if d.get("version") != PROFILE_VERSION:
-            raise ConfigurationError(f"unsupported profile version {d.get('version')}")
-        body = {k: v for k, v in d.items() if k not in ("format", "version")}
-        try:
-            body["set_curve"] = WearCurve(**body["set_curve"])
-            body["reset_curve"] = WearCurve(**body["reset_curve"])
-            return cls(**body)
+            return cls(**dict(fields, set_curve=WearCurve(**fields["set_curve"]),
+                              reset_curve=WearCurve(**fields["reset_curve"])))
         except (KeyError, TypeError) as exc:
             raise ConfigurationError(f"malformed profile: {exc}") from exc
 
 
 def save_profile(profile: CalibrationProfile, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(profile.to_json())
-        fh.write("\n")
+    write_text(path, profile.to_json() + "\n")
 
 
 def load_profile(path) -> CalibrationProfile:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return CalibrationProfile.from_json(fh.read())
-    except UnicodeDecodeError as exc:
-        raise ConfigurationError(f"profile is not UTF-8 text: {exc}") from exc
+    return CalibrationProfile.from_json(read_text(path, "profile", ConfigurationError))
 
 
 def default_profile() -> CalibrationProfile:

@@ -1,5 +1,6 @@
 """Device-model behaviour: wear accounting, timing draws, persistence."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -179,6 +180,32 @@ def test_huge_wear_counts_wear_out_and_change_nothing(profile, call):
     assert err.value.addresses == [5]
     assert chip.save_state() == state
     assert chip.wear_units([5]).tolist() == [16]
+
+
+# Steps that would take the clock past the largest float, on a chip whose
+# clock and command times are all 1e308 s.
+CLOCK_OVERFLOW = {
+    "retention": lambda chip: chip.age_retention(1e308),
+    "bake": lambda chip: chip.bake(30.0, 1e308),
+    "stress": lambda chip: chip.apply_stress_pairs(np.arange(256), 1),
+    "buffered-write": lambda chip: chip.buffered_write(0, np.zeros(256, dtype=np.uint8)),
+    "noop-write": lambda chip: chip.timed_write(5, 0xFF),
+    "transitions": lambda chip: chip.apply_transitions([5], [16], 1e308),
+}
+
+
+@pytest.mark.parametrize("call", CLOCK_OVERFLOW.values(), ids=CLOCK_OVERFLOW)
+def test_clock_overflow_refused_and_changes_nothing(profile, call):
+    slow = dataclasses.replace(profile, pair_time=1e308, noop_time=1e308,
+                               buffered_command_time=1e308)
+    chip = rrsim.new_chip(rrsim.ChipGeometry(512), slow, seed=3)
+    chip.bake(30.0, 1e308)
+    state, log = chip.save_state(), list(chip.bake_log)
+    with pytest.raises(rrsim.ConfigurationError, match="clock"):
+        call(chip)
+    assert chip.save_state() == state
+    assert chip.bake_log == log
+    assert rrsim.load_state(state, slow) == chip
 
 
 def test_wear_reads_widen_the_stored_uint32(chip):

@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour, exit codes, reproducibility."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -8,6 +9,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -685,3 +687,43 @@ def test_wrong_key_attack_on_one_bit_key_is_usage_error(workdir):
     assert (code, out) == (cli.EXIT_USAGE, "")
     assert err.startswith("error: kmeans decoding needs at least two payload bits")
     assert not os.path.exists("a.csv")
+
+
+def test_unknown_method_refused_before_measuring(workdir):
+    assert cli.main(REL_HIDE) == cli.EXIT_OK
+    code, out, err = captured(["retrieve", "--key", "key.json", "--chip", "chip.bin",
+                               "--method", "magic", "--chip-out", "after.bin"])
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == "error: unknown decode method 'magic'\n"
+    assert not (workdir / "after.bin").exists()
+
+
+def test_ambiguous_retrieve_warns_once(workdir):
+    # The CLI reports ambiguity itself, so the library's warning stays unshown.
+    assert cli.main([*REL_HIDE, "--n-stress", "200"]) == cli.EXIT_OK
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = captured(["retrieve", "--key", "key.json", "--chip", "chip.bin"])
+    assert code == cli.EXIT_AMBIGUOUS
+    assert caught == []
+    assert err == "warning: cluster separation within noise floor; decode is ambiguous\n"
+
+
+def test_overflowing_clock_is_usage_error(workdir, profile):
+    # 15,000 pairs over 32 bits at 1e308 s a pair pass the largest float.
+    slow = dataclasses.replace(profile, pair_time=1e308)
+    rrsim.save_profile(slow, workdir / "slow.json")
+    code, out, err = captured([*REL_HIDE, "--profile", "slow.json"])
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err.startswith("error: ") and "clock" in err and "Traceback" not in err
+    assert sorted(os.listdir()) == ["slow.json"]
+
+
+def test_stress_count_past_endurance_is_wear_out(workdir):
+    # With no 1-bit nothing would be stressed; the key itself is refused.
+    code, out, err = captured(["hide", "--payload", "0x00000000", "--key-out", "key.json",
+                               "--chip-out", "chip.bin", "--address-count", "16384",
+                               "--n-stress", "1" + "0" * 310])
+    assert (code, out) == (cli.EXIT_WEAR_OUT, "")
+    assert err.splitlines()[-1].startswith("wear-out: ") and "Traceback" not in err
+    assert os.listdir() == []

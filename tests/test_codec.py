@@ -177,6 +177,16 @@ class TestEncode:
                 rrsim.encode(chip, key, rrsim.Payload((1,) * 32))
         assert len(err.value.addresses) > 0
 
+    def test_stress_count_past_endurance_refused_before_any_change(self, profile):
+        chip = fresh_chip(profile, seed=1, addresses=8192)
+        before = chip.clone()
+        key = rrsim.HidingKey(0, 256, 1, (0,), 32, profile.endurance_max + 1)
+        payload = rrsim.Payload.from_hex("0x80000001")
+        with pytest.raises(rrsim.EncodeError, match="endurance_max") as err:
+            rrsim.encode(chip, key, payload)
+        assert err.value.addresses == [*range(256), *range(7936, 8192)]
+        assert chip == before
+
     def test_erase_wear_out_becomes_encode_error(self, profile):
         # Cells past the limit holding 0x00: the erase would toggle them.
         chip = fresh_chip(profile, seed=1, addresses=8192)
@@ -241,13 +251,13 @@ class TestDecode:
         payload = rrsim.Payload.from_hex("0x0000FFFF")
         rrsim.encode(chip, key, payload)
         cut = 0.5 * (profile.mean_time("set", 0) + profile.mean_time("set", 15_000))
-        result = rrsim.decode(chip, key, method="threshold", threshold=cut)
+        result = rrsim.decode(chip, key, threshold=cut)
         assert result.payload.to_hex() == "0x0000FFFF"
 
     def test_threshold_zero_decodes_all_ones(self, profile):
         chip = fresh_chip(profile, seed=18)
         key = rrsim.HidingKey(0, 256, 1, (0,), 32, 15_000)
-        result = rrsim.decode(chip, key, method="threshold", threshold=0.0)
+        result = rrsim.decode(chip, key, threshold=0.0)
         assert result.payload.bits == (1,) * 32
 
     def test_reference_method(self, profile):
@@ -256,8 +266,7 @@ class TestDecode:
         payload = rrsim.Payload.from_hex("0xECE3038B")
         rrsim.encode(chip, key, payload)
         spare = np.arange(8192, 8448)
-        result = rrsim.decode(chip, key, method="reference",
-                              reference_addresses=spare)
+        result = rrsim.decode(chip, key, reference_addresses=spare)
         assert result.payload.to_hex() == "0xECE3038B"
 
     def test_single_perturbed_rotation_gives_chance_agreement(self, profile):
@@ -340,6 +349,10 @@ class TestKeyFieldTypes:
         with pytest.raises(rrsim.FormatError, match="rotations"):
             rrsim.HidingKey.from_json(self._text(rotations=rotations))
 
+    def test_unknown_field_rejected(self):
+        with pytest.raises(rrsim.FormatError, match="colour"):
+            rrsim.HidingKey.from_json(self._text(colour="red"))
+
     @pytest.mark.parametrize("text", ["[1, 2]", "\"rrsim-key\"", "7", "{not json"])
     def test_non_object_json_rejected(self, text):
         with pytest.raises(rrsim.FormatError):
@@ -368,7 +381,7 @@ class TestReferenceOverlap:
         chip, key = self.hidden(profile, 256)
         before = chip.clone()
         with pytest.raises(rrsim.ConfigurationError):
-            rrsim.decode(chip, key, method="reference",
+            rrsim.decode(chip, key,
                          reference_addresses=np.arange(first, first + 256))
         assert chip == before
 
@@ -385,13 +398,13 @@ class TestReferenceOverlap:
         chip, key = self.hidden(profile, 256)
         before = chip.clone()
         with pytest.raises(error):
-            rrsim.decode(chip, key, method="reference", reference_addresses=refs)
+            rrsim.decode(chip, key, reference_addresses=refs)
         assert chip == before
 
     @pytest.mark.parametrize("first", [0, 256 + 8192])
     def test_cells_next_to_footprint_accepted(self, profile, first):
         chip, key = self.hidden(profile, 256)
-        result = rrsim.decode(chip, key, method="reference",
+        result = rrsim.decode(chip, key,
                               reference_addresses=np.arange(first, first + 256))
         assert result.payload.to_hex() == "0xECE3038B"
 
@@ -400,10 +413,10 @@ class TestDecodeArgumentsCheckedFirst:
     """A refused decode leaves the chip as it was: no wear, no clock."""
 
     @pytest.mark.parametrize("kwargs", [
-        {"method": "magic"}, {"method": "threshold"},
-        {"method": "reference"}, {"op": "both"},
-        {"method": "threshold", "threshold": float("nan")},
-        {"method": "threshold", "threshold": float("inf")}])
+        {"threshold": 0.0, "reference_addresses": np.arange(9000, 9256)},
+        {"reference_addresses": []}, {"reference_addresses": [1]}, {"op": "both"},
+        {"threshold": float("nan")},
+        {"threshold": float("inf")}])
     def test_refused_before_measuring(self, profile, kwargs):
         chip = fresh_chip(profile, seed=3)
         key = rrsim.HidingKey(0, 256, 1, (0,), 32, 15_000)
@@ -423,6 +436,5 @@ class TestDecodeArgumentsCheckedFirst:
         with pytest.raises(rrsim.ConfigurationError, match="reference"):
             rrsim.decode(chip, key)
         assert chip == before
-        result = rrsim.decode(chip, key, method="reference",
-                              reference_addresses=np.arange(256, 512))
+        result = rrsim.decode(chip, key, reference_addresses=np.arange(256, 512))
         assert result.payload.bits == (1,)

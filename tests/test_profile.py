@@ -181,6 +181,11 @@ def test_bad_json_rejected(tmp_path):
         rrsim.load_profile(path)
 
 
+def test_missing_file_is_configuration_error(tmp_path):
+    with pytest.raises(rrsim.ConfigurationError, match="cannot read profile"):
+        rrsim.load_profile(tmp_path / "nope.json")
+
+
 @pytest.mark.parametrize("text", ["[1]", "\"x\"", "7"])
 def test_non_object_json_rejected(tmp_path, text):
     path = tmp_path / "bad.json"

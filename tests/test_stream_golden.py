@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 
 import rrsim
-from rrsim import harness
+from rrsim import cli, harness
 from conftest import fresh_chip
 
 PAYLOAD = "0xECE3038B"
@@ -43,6 +43,10 @@ GOLDEN = {
     "initial_stress.csv": "f0b8b865611c3ef29b7e3812b9cf874e375fca6b4315e895740bd123111b6183",
     "attack_wrong_base.csv": "4615ffc8f78a31e64ebf9ecd86d74dbf4352a18806b3f08ab90bf9dcc411370d",
     "attack_wrong_key.csv": "77a693f5858fcd5be8153575ea0fb474e82a926461eb54f584b8771e42096b23",
+    "key.json": "569c8c7528cebf789e3eff07dfb6137ee493d3af9611a50ccd558108bf23df0d",
+    "default.profile.json": "322c66311928355f76061ba45bfc9e30a91c33ff7d3ee69917551f242a4437e2",
+    "fitted.profile.json": "176c99167052678eb6382f038953584d0ea001f83de437ff865f454d1964df49",
+    "records.csv": "f612d61298ce0cf0e98949fe0ac0739226c15d44f3cc10e08c59ff3223f94c3c",
 }
 
 
@@ -59,7 +63,7 @@ def round_trip_digests(chip, key, name):
     trace = chip.clone().measure_trace(plan.addresses)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        result = rrsim.decode(chip, key, method="kmeans")
+        result = rrsim.decode(chip, key)
     assert result.payload.to_hex() == PAYLOAD
     assert np.array_equal(result.bit_means, plan.bit_means(trace.set_times))
     digests[f"{name}.set_times"] = sha(trace.set_times.tobytes())
@@ -175,3 +179,37 @@ def test_reencode_warning_text_reads_footprint_wear(profile):
     ones = np.count_nonzero(np.array(payload.bits))
     mean = ones * 250 * 15_000 / 8000
     assert texts == [f"target cells already carry {mean:.1f} mean pairs of wear"]
+
+
+# The text files: JSON with sorted keys and "\n" line ends, CSV rows with
+# the csv module's "\r\n" under a "\n"-ended seed line.
+
+def test_key_file_bytes(tmp_path):
+    key = rrsim.generate_key(32, 100, 256, 4, 15_000, rng_seed=11)
+    rrsim.save_key(key, tmp_path / "key.json")
+    assert sha((tmp_path / "key.json").read_bytes()) == GOLDEN["key.json"]
+    assert rrsim.load_key(tmp_path / "key.json") == key
+
+
+def test_shipped_profile_file_bytes(profile, tmp_path):
+    rrsim.save_profile(profile, tmp_path / "p.json")
+    assert sha((tmp_path / "p.json").read_bytes()) == GOLDEN["default.profile.json"]
+    assert rrsim.load_profile(tmp_path / "p.json") == profile
+
+
+def fitted_records(profile):
+    return rrsim.synthesize_records(profile, range(0, 1_000_001, 100_000), seed=12)
+
+
+def test_fitted_profile_file_bytes(profile, tmp_path):
+    fitted = rrsim.fit_profile(fitted_records(profile))
+    rrsim.save_profile(fitted, tmp_path / "fit.json")
+    assert sha((tmp_path / "fit.json").read_bytes()) == GOLDEN["fitted.profile.json"]
+    assert rrsim.load_profile(tmp_path / "fit.json") == fitted
+
+
+def test_records_csv_bytes(profile, tmp_path):
+    records = fitted_records(profile)
+    cli.write_records_csv(tmp_path / "rec.csv", records, seed=12)
+    assert sha((tmp_path / "rec.csv").read_bytes()) == GOLDEN["records.csv"]
+    assert cli.read_records_csv(tmp_path / "rec.csv") == records
