@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BoundsError, ConfigurationError, FormatError, WearOutError,
-                     amount, whole)
+                     real, whole)
 from .profile import CalibrationProfile, default_profile
 
 STATE_MAGIC = b"RRSIM\x01"
@@ -304,7 +304,7 @@ class ChipModel:
         units = _per_address("transitions", addrs.shape, transitions, np.int64)
         worst = self._wear(cells) + np.minimum(units, self._limit + 1)  # no overflow
         self._check_wear(addrs, worst)
-        self._commit(amount("seconds", seconds), cells, worst)
+        self._commit(real("seconds", seconds, least=0), cells, worst)
 
     def set_values(self, addresses, values) -> None:
         """Overwrite stored bytes without timing or wear (traffic
@@ -355,7 +355,7 @@ class ChipModel:
 
     def age_retention(self, duration: float) -> None:
         """Advance the simulated calendar; the default profile drifts nothing."""
-        self._commit(amount("duration", duration))
+        self._commit(real("duration", duration, least=0))
 
     def bake(self, celsius: float, duration: float) -> None:
         """Age the chip by a thermal soak and log it; drift only if the profile says so."""

@@ -156,19 +156,23 @@ def cmd_hide(args, profile) -> int:
                        args.replicas, args.n_stress, args.seed,
                        geometry=chip.geometry)
     report = encode(chip, key, payload)
-    key_out, chip_out = _out(args, args.key_out), _out(args, args.chip_out)
-    save_key(key, key_out)
-    with open(chip_out, "wb") as fh:
-        chip.write_state(fh)
     model_time = harness.encode_time(key.stress_count, len(payload),
                                      profile.pair_time)
     cost = harness.endurance_cost(key.stress_count, profile.endurance_rated)
     rate = Fraction(len(payload) * 60) / model_time if model_time else Fraction(0)
+    try:  # before any file is written
+        seconds, per_min, percent = float(model_time), float(rate), float(100 * cost)
+    except OverflowError as exc:
+        raise ConfigurationError(f"pair_time {profile.pair_time!r} puts the encode "
+                                 "time or rate past the largest float") from exc
+    key_out, chip_out = _out(args, args.key_out), _out(args, args.chip_out)
+    save_key(key, key_out)
+    with open(chip_out, "wb") as fh:
+        chip.write_state(fh)
     print(f"hidden {len(payload)} bits at stress count {key.stress_count}")
-    print(f"simulated encode time: {float(model_time):g} s "
-          f"({float(rate):g} bit/min)")
+    print(f"simulated encode time: {seconds:g} s ({per_min:g} bit/min)")
     print(f"chip busy time: {report.chip_busy_seconds:g} s")
-    print(f"endurance cost: {float(100 * cost):g}% of rated pairs")
+    print(f"endurance cost: {percent:g}% of rated pairs")
     print(f"key: {key_out}  chip: {chip_out}")
     return EXIT_OK
 

@@ -25,7 +25,7 @@ import numpy as np
 from .chip import UNITS_PER_PAIR, ChipGeometry, ChipModel
 from .errors import (AmbiguousDecodeWarning, ConfigurationError, EncodeError,
                      FormatError, UsedCellsWarning, WearOutError, dump_document,
-                     load_document, read_text, whole, write_text)
+                     load_document, read_text, real, whole, write_text)
 
 KEY_VERSION = 1
 
@@ -263,8 +263,8 @@ def decode(chip: ChipModel, key: HidingKey, threshold: float | None = None,
         raise ConfigurationError("op must be 'set' or 'reset'")
     if threshold is not None and reference_addresses is not None:
         raise ConfigurationError("give a threshold or reference addresses, not both")
-    if threshold is not None and not np.isfinite(threshold):
-        raise ConfigurationError("decoding needs a finite threshold value")
+    if threshold is not None and np.ndim(real("threshold", threshold)):
+        raise ConfigurationError(f"threshold must be one number, not {threshold!r}")
     if reference_addresses is not None:
         if len(reference_addresses) == 0:
             raise ConfigurationError("reference decoding needs reference addresses")

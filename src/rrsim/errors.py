@@ -68,12 +68,17 @@ def whole(name, value, least=0, most=None):
     return value
 
 
-def amount(name, value):
-    """`value` itself if it is a finite real number >= 0, never a bool, or an
-    array of them (checked by one min and one max); else ConfigurationError."""
-    v = np.asarray(value)
-    if v.dtype.kind not in "iuf" or v.size and not 0 <= v.min() <= v.max() < np.inf:
-        raise ConfigurationError(f"{name} must be a finite number >= 0, not {value!r}")
+def real(name, value, least=None):
+    """`value` if it is a finite real number >= `least` (if given), or an array of them;
+    else ConfigurationError, by dtype, so a bool, str, Fraction or huge int is refused."""
+    try:
+        v = np.asarray(value)
+    except ValueError:  # a ragged nest of lists
+        v = np.asarray(None)
+    if v.dtype.kind not in "iuf" or v.size and not (v.max() < np.inf and (
+            v.min() > -np.inf if least is None else v.min() >= least)):
+        bound = "" if least is None else f" >= {least}"
+        raise ConfigurationError(f"{name} must be a finite number{bound}, not {value!r}")
     return value
 
 
@@ -104,12 +109,12 @@ def load_document(text: str, kind: str, version: int, error) -> dict:
     format and version; `error` if `text` is not one."""
     try:
         fields = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int of over 4,300 digits
         raise error(f"{kind} file is not valid JSON: {exc}") from exc
     if not isinstance(fields, dict) or fields.pop("format", None) != f"rrsim-{kind}":
         raise error(f"not an rrsim {kind} file")
     found = fields.pop("version", None)
-    if found != version:
+    if type(found) is not int or found != version:  # true and 1.0 are not 1
         raise error(f"unsupported {kind} file version {found!r}")
     return fields
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .chip import ChipModel
 from .codec import HidingKey, Payload, _check_kmeans, decode, encode
-from .errors import ConfigurationError, UsedCellsWarning, whole, write_csv
+from .errors import ConfigurationError, UsedCellsWarning, real, whole, write_csv
 
 REPORT_COLUMNS = ("sweep_id", "N", "post_stress", "op", "replica_size",
                   "min_distance_s", "ber", "errors")
@@ -304,8 +304,8 @@ def sweep_initial_stress(chip_factory, initial_grid, stress_count: int,
 def _fraction(x) -> Fraction:
     if isinstance(x, float):
         # Via the shortest decimal repr, so 0.01 means exactly 1/100.
-        return Fraction(repr(x))
-    if isinstance(x, (int, str, Fraction)):
+        return Fraction(repr(real("a calculator input", x)))
+    if isinstance(x, (int, str, Fraction)) and not isinstance(x, bool):
         return Fraction(x)
     raise ConfigurationError(f"cannot interpret {x!r} as an exact number")
 

@@ -17,24 +17,17 @@ All times are seconds; stress is counted in set-reset pairs.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import asdict, dataclass, fields
 from importlib import resources
 
 import numpy as np
 
-from .errors import (ConfigurationError, amount, dump_document, load_document,
-                     read_text, whole, write_text)
+from .errors import (ConfigurationError, dump_document, load_document, read_text,
+                     real, whole, write_text)
 
 PROFILE_VERSION = 1
 
 DEFAULT_PROFILE_RESOURCE = "default_mb85as8mt.profile.json"
-
-
-def _real(x) -> bool:
-    """A finite real number; JSON's true and false are not numbers here."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 @dataclass(frozen=True)
@@ -47,15 +40,16 @@ class WearCurve:
 
     def mean(self, stress):
         """Mean switch time at `stress` pairs (finite, >= 0; scalar or ndarray)."""
-        s = np.asarray(amount("stress", stress), dtype=float)
+        s = np.asarray(real("stress", stress, least=0), dtype=float)
         out = self.t0 + self.a * np.power(s, self.p)
         if out.ndim == 0:
             return float(out)
         return out
 
     def __post_init__(self):
-        if not all(map(_real, (self.t0, self.a, self.p))):
-            raise ConfigurationError("wear curve parameters must be finite numbers")
+        if any(np.ndim(real(f"wear curve {f.name}", getattr(self, f.name)))
+               for f in fields(self)):
+            raise ConfigurationError("wear curve parameters must be single numbers")
         if self.t0 <= 0 or self.a <= 0:
             raise ConfigurationError("wear curve times must be positive")
         if self.p < 1:
@@ -106,8 +100,8 @@ class CalibrationProfile:
         whole("endurance_rated", self.endurance_rated, 1)
         whole("endurance_max", self.endurance_max, self.endurance_rated)
         for f in fields(self)[2:]:  # every number; the curves come first
-            if not _real(getattr(self, f.name)):
-                raise ConfigurationError(f"{f.name} must be a finite number")
+            if np.ndim(real(f.name, getattr(self, f.name))):
+                raise ConfigurationError(f"{f.name} must be one number")
         if self.set_sigma < 0 or self.reset_sigma < self.set_sigma:
             raise ConfigurationError("need reset_sigma >= set_sigma >= 0")
         for name in ("buffered_command_time", "pair_time", "noop_time"):
@@ -115,6 +109,11 @@ class CalibrationProfile:
                 raise ConfigurationError(f"{name} must be positive")
         if self.jitter_max < 0 or self.chip_variation < 0:
             raise ConfigurationError("jitter_max and chip_variation must be >= 0")
+        for name in ("set_sigma", "reset_sigma", "chip_variation"):
+            # Past sigma ~37.6 `_lognormal` would draw every factor as 0.0.
+            if np.exp(-0.5 * getattr(self, name) ** 2) < np.finfo(float).tiny:
+                raise ConfigurationError(f"{name} {getattr(self, name)} is too wide: its "
+                                         "mean-1 correction exp(-sigma**2/2) underflows")
         if self.temp_rated_min >= self.temp_rated_max:
             raise ConfigurationError("bad rated temperature range")
         # temp_factor is linear, so both ends bound it over the whole range.
@@ -139,9 +138,9 @@ class CalibrationProfile:
         return 1.0 + self.temp_coeff * (celsius - 25.0)
 
     def check_rated(self, celsius: float) -> None:
-        """Refuse a temperature that is not a real number (nor a bool) or is not rated."""
-        if not _real(celsius):
-            raise ConfigurationError(f"temperature must be a finite number, not {celsius!r}")
+        """Refuse a temperature that is not one real number (nor a bool) or is not rated."""
+        if np.ndim(real("temperature", celsius)):
+            raise ConfigurationError(f"temperature must be one number, not {celsius!r}")
         if not self.temp_rated_min <= celsius <= self.temp_rated_max:
             raise ConfigurationError(f"{celsius} C outside rated range "
                                      f"[{self.temp_rated_min}, {self.temp_rated_max}]")
@@ -155,7 +154,7 @@ class CalibrationProfile:
         scale * mean_time(stress).  `scale` folds in the chip speed factor
         and any temperature/aging multipliers.
         """
-        mean = self.curve(op).mean(np.asarray(stress, dtype=float))
+        mean = self.mean_time(op, stress)
         noise = _lognormal(self.sigma(op), rng, np.shape(mean))
         return scale * mean * noise
 

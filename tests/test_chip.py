@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -449,7 +450,11 @@ REFUSED_CALLS = {
     "sweep-initial-float-point": lambda chip, rng: rrsim.sweep_initial_stress(
         chip.clone, [2.5], 15_000),
     "sweep-float-size": lambda chip, rng: rrsim.sweep_replica_size(chip.clone, [32.7]),
+    "sample-bool": lambda chip, rng: chip.profile.sample_times("set", True, rng),
     "temperature-bool": lambda chip, rng: chip.set_temperature(True),
+    "temperature-huge-int": lambda chip, rng: chip.set_temperature(10**400),
+    "temperature-fraction": lambda chip, rng: chip.set_temperature(Fraction(30)),
+    "temperature-list": lambda chip, rng: chip.set_temperature([30.0]),
     "bake-bool-temperature": lambda chip, rng: chip.bake(True, 10.0),
     # The clock is one number; an array duration once became the clock.
     "age-array-duration": lambda chip, rng: chip.age_retention(np.array([1.0, 2.0])),

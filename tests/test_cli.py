@@ -135,7 +135,7 @@ class TestHideRetrieve:
                     "--method", f"threshold:{cut}",
                     "--chip-out", str(workdir / "after.bin")])
         assert code == cli.EXIT_USAGE
-        assert "finite threshold" in capsys.readouterr().err
+        assert "threshold must be a finite number" in capsys.readouterr().err
         assert not (workdir / "after.bin").exists()
 
     @pytest.mark.parametrize("text", ["[1]", "\"x\"", "7"])
@@ -717,6 +717,28 @@ def test_overflowing_clock_is_usage_error(workdir, profile):
     assert (code, out) == (cli.EXIT_USAGE, "")
     assert err.startswith("error: ") and "clock" in err and "Traceback" not in err
     assert sorted(os.listdir()) == ["slow.json"]
+
+
+@pytest.mark.parametrize("changes, payload", [
+    ({"pair_time": 10**400}, "0x5A5A5A5A"),
+    # No 1-bit stresses nothing, so only the printed encode time overflows.
+    ({"pair_time": 1e308}, "0x00000000"),
+    ({"pair_time": 5e-324}, "0x5A5A5A5A"),  # the bit/min rate overflows
+    # Every sampled time was 0.0 s, and retrieve then exited 4.
+    ({"set_sigma": 800, "reset_sigma": 900}, "0x5A5A5A5A"),
+    ({"chip_variation": 1000}, "0x5A5A5A5A"),
+], ids=["huge-pair-time", "pair-time-1e308", "pair-time-5e-324", "wide-sigmas",
+        "wide-chip-variation"])
+def test_profile_the_model_cannot_use_is_usage_error(workdir, profile, changes, payload):
+    d = json.loads(profile.to_json())
+    d.update(changes)
+    (workdir / "bad.json").write_text(json.dumps(d))
+    code, out, err = captured(["hide", "--payload", payload, "--key-out", "key.json",
+                               "--chip-out", "chip.bin", "--address-count", "16384",
+                               "--profile", "bad.json"])
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err.splitlines()[-1].startswith("error: ") and "Traceback" not in err
+    assert os.listdir() == ["bad.json"]
 
 
 def test_stress_count_past_endurance_is_wear_out(workdir):

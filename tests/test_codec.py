@@ -361,7 +361,9 @@ class TestKeyFieldTypes:
     @pytest.mark.parametrize("changes, match", [
         ({"version": 2}, "version"),
         # replica_count 2 makes a rows key.
-        ({"layout_mode": "block"}, "layout_mode")])
+        ({"layout_mode": "block"}, "layout_mode"),
+        # JSON's true and 1.0 are not the version number 1.
+        ({"version": True}, "version"), ({"version": 1.0}, "version")])
     def test_header_disagreement_rejected(self, changes, match):
         with pytest.raises(rrsim.FormatError, match=match):
             rrsim.HidingKey.from_json(self._text(**changes))
@@ -416,7 +418,11 @@ class TestDecodeArgumentsCheckedFirst:
         {"threshold": 0.0, "reference_addresses": np.arange(9000, 9256)},
         {"reference_addresses": []}, {"reference_addresses": [1]}, {"op": "both"},
         {"threshold": float("nan")},
-        {"threshold": float("inf")}])
+        {"threshold": float("inf")},
+        # A str or an int past float range escaped as a numpy TypeError, an
+        # array as a ValueError.
+        {"threshold": "0.5"}, {"threshold": 10**400},
+        {"threshold": np.array([1e-4, 2e-4])}])
     def test_refused_before_measuring(self, profile, kwargs):
         chip = fresh_chip(profile, seed=3)
         key = rrsim.HidingKey(0, 256, 1, (0,), 32, 15_000)

@@ -334,10 +334,13 @@ class TestCalculators:
     def test_exact_number_kinds(self, value, exact):
         assert harness.endurance_cost(value, 1) == exact
 
-    @pytest.mark.parametrize("value", [np.int64(3), None, 1j])
+    @pytest.mark.parametrize("value", [np.int64(3), None, 1j, True, float("nan"),
+                                       float("inf")])
     def test_other_number_kinds_refused(self, value):
         with pytest.raises(rrsim.ConfigurationError):
             harness.endurance_cost(value, 1)
+        with pytest.raises(rrsim.ConfigurationError):
+            harness.encode_time(15_000, 32, value)
 
     def test_separation_report_fields(self):
         means = np.array([1.0, 1.1, 2.0, 2.2])

@@ -82,10 +82,27 @@ def test_endurance_ordering_enforced(profile):
     (("set_curve", "p"), True),
     (("version",), 2),
     (("speed",), 2.0),  # a field the profile does not have
+    # JSON integers past float range once escaped as OverflowError.
+    (("pair_time",), 10**400),
+    (("temp_coeff",), 10**400),
+    (("set_curve", "a"), 10**400),
+    (("endurance_max",), 10**400),
+    (("version",), True),
+    (("version",), 1.0),
+    # Each number is one number.
+    (("pair_time",), [0.01]),
+    (("retention_drift",), []),
+    (("set_curve", "p"), [1, [2]]),
+    # Past sigma ~37.6 every lognormal factor is 0.0.
+    (("reset_sigma",), 900),
+    (("chip_variation",), 1000),
 ], ids=["nan-curve", "fractional-endurance", "boolean-endurance",
         "infinite-time", "negative-temp-factor", "boolean-sigma",
         "boolean-time", "boolean-temperature", "boolean-curve-t0",
-        "boolean-curve-p", "version-2", "unknown-field"])
+        "boolean-curve-p", "version-2", "unknown-field", "huge-time",
+        "huge-temp-coeff", "huge-curve-a", "huge-endurance", "boolean-version",
+        "float-version", "list-time", "empty-list-drift", "ragged-curve-p",
+        "underflowing-reset-sigma", "underflowing-chip-variation"])
 def test_values_that_break_the_model_rejected(profile, path, value):
     d = json.loads(profile.to_json())
     *parents, name = path
@@ -95,6 +112,13 @@ def test_values_that_break_the_model_rejected(profile, path, value):
     target[name] = value
     with pytest.raises(rrsim.ConfigurationError):
         CalibrationProfile.from_json(json.dumps(d))
+
+
+def test_json_int_past_str_limit_rejected(profile):
+    # json.loads raises a bare ValueError for an int of over 4,300 digits.
+    text = profile.to_json().replace('"version": 1', '"version": 1' + "0" * 5000)
+    with pytest.raises(rrsim.ConfigurationError, match="not valid JSON"):
+        CalibrationProfile.from_json(text)
 
 
 def test_sample_times_are_mean_one_noise(profile):
