@@ -195,10 +195,8 @@ class ChipModel:
         """The one step that changes wear, values and the clock, after the
         caller's checks: store the checked `wear` and any `values` at `cells`,
         and add `seconds` once per command (n * t rounds differently from n
-        sums); return the sum.  An array of seconds, or a clock sum past the
-        largest float, changes nothing and is refused."""
-        if np.ndim(seconds):
-            raise ConfigurationError(f"a duration must be one number, not {seconds!r}")
+        sums); return the sum.  A clock sum past the largest float changes
+        nothing and is refused."""
         elapsed, clock = 0.0, self.simulated_clock
         for _ in range(commands):
             elapsed += seconds

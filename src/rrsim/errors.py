@@ -68,15 +68,16 @@ def whole(name, value, least=0, most=None):
     return value
 
 
-def real(name, value, least=None):
-    """`value` if it is a finite real number >= `least` (if given), or an array of them;
-    else ConfigurationError, by dtype, so a bool, str, Fraction or huge int is refused."""
+def real(name, value, least=None, array=False):
+    """`value` if it is one finite real number >= `least` (if given), or with
+    `array` an array of them; else ConfigurationError, by dtype, so a bool,
+    str, Fraction or huge int is refused."""
     try:
         v = np.asarray(value)
     except ValueError:  # a ragged nest of lists
         v = np.asarray(None)
-    if v.dtype.kind not in "iuf" or v.size and not (v.max() < np.inf and (
-            v.min() > -np.inf if least is None else v.min() >= least)):
+    if v.dtype.kind not in "iuf" or v.ndim and not array or v.size and not (
+            v.max() < np.inf and (v.min() > -np.inf if least is None else v.min() >= least)):
         bound = "" if least is None else f" >= {least}"
         raise ConfigurationError(f"{name} must be a finite number{bound}, not {value!r}")
     return value

@@ -306,7 +306,10 @@ def _fraction(x) -> Fraction:
         # Via the shortest decimal repr, so 0.01 means exactly 1/100.
         return Fraction(repr(real("a calculator input", x)))
     if isinstance(x, (int, str, Fraction)) and not isinstance(x, bool):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):  # "nan", "1/0"
+            pass
     raise ConfigurationError(f"cannot interpret {x!r} as an exact number")
 
 

@@ -40,16 +40,15 @@ class WearCurve:
 
     def mean(self, stress):
         """Mean switch time at `stress` pairs (finite, >= 0; scalar or ndarray)."""
-        s = np.asarray(real("stress", stress, least=0), dtype=float)
+        s = np.asarray(real("stress", stress, least=0, array=True), dtype=float)
         out = self.t0 + self.a * np.power(s, self.p)
         if out.ndim == 0:
             return float(out)
         return out
 
     def __post_init__(self):
-        if any(np.ndim(real(f"wear curve {f.name}", getattr(self, f.name)))
-               for f in fields(self)):
-            raise ConfigurationError("wear curve parameters must be single numbers")
+        for f in fields(self):
+            real(f"wear curve {f.name}", getattr(self, f.name))
         if self.t0 <= 0 or self.a <= 0:
             raise ConfigurationError("wear curve times must be positive")
         if self.p < 1:
@@ -73,6 +72,11 @@ def _lognormal(sig: float, rng, size=None):
     np.subtract(z, 0.5 * sig * sig, out=z)
     np.exp(z, out=z)
     return z[()]
+
+
+# Past this sigma `_lognormal`'s mean-1 correction exp(-sigma**2/2) is below
+# the smallest normal float, and every factor it draws is 0.0.
+_SIGMA_MAX = float(np.sqrt(-2 * np.log(np.finfo(float).tiny)))  # about 37.6
 
 
 @dataclass(frozen=True)
@@ -100,8 +104,7 @@ class CalibrationProfile:
         whole("endurance_rated", self.endurance_rated, 1)
         whole("endurance_max", self.endurance_max, self.endurance_rated)
         for f in fields(self)[2:]:  # every number; the curves come first
-            if np.ndim(real(f.name, getattr(self, f.name))):
-                raise ConfigurationError(f"{f.name} must be one number")
+            real(f.name, getattr(self, f.name))
         if self.set_sigma < 0 or self.reset_sigma < self.set_sigma:
             raise ConfigurationError("need reset_sigma >= set_sigma >= 0")
         for name in ("buffered_command_time", "pair_time", "noop_time"):
@@ -110,8 +113,7 @@ class CalibrationProfile:
         if self.jitter_max < 0 or self.chip_variation < 0:
             raise ConfigurationError("jitter_max and chip_variation must be >= 0")
         for name in ("set_sigma", "reset_sigma", "chip_variation"):
-            # Past sigma ~37.6 `_lognormal` would draw every factor as 0.0.
-            if np.exp(-0.5 * getattr(self, name) ** 2) < np.finfo(float).tiny:
+            if getattr(self, name) > _SIGMA_MAX:
                 raise ConfigurationError(f"{name} {getattr(self, name)} is too wide: its "
                                          "mean-1 correction exp(-sigma**2/2) underflows")
         if self.temp_rated_min >= self.temp_rated_max:
@@ -139,8 +141,7 @@ class CalibrationProfile:
 
     def check_rated(self, celsius: float) -> None:
         """Refuse a temperature that is not one real number (nor a bool) or is not rated."""
-        if np.ndim(real("temperature", celsius)):
-            raise ConfigurationError(f"temperature must be one number, not {celsius!r}")
+        real("temperature", celsius)
         if not self.temp_rated_min <= celsius <= self.temp_rated_max:
             raise ConfigurationError(f"{celsius} C outside rated range "
                                      f"[{self.temp_rated_min}, {self.temp_rated_max}]")

@@ -727,8 +727,11 @@ def test_overflowing_clock_is_usage_error(workdir, profile):
     # Every sampled time was 0.0 s, and retrieve then exited 4.
     ({"set_sigma": 800, "reset_sigma": 900}, "0x5A5A5A5A"),
     ({"chip_variation": 1000}, "0x5A5A5A5A"),
+    # Squaring these once escaped as OverflowError.
+    ({"set_sigma": 1e200, "reset_sigma": 1e200}, "0x5A5A5A5A"),
+    ({"chip_variation": 1e200}, "0x5A5A5A5A"),
 ], ids=["huge-pair-time", "pair-time-1e308", "pair-time-5e-324", "wide-sigmas",
-        "wide-chip-variation"])
+        "wide-chip-variation", "overflowing-sigmas", "overflowing-chip-variation"])
 def test_profile_the_model_cannot_use_is_usage_error(workdir, profile, changes, payload):
     d = json.loads(profile.to_json())
     d.update(changes)

@@ -335,7 +335,7 @@ class TestCalculators:
         assert harness.endurance_cost(value, 1) == exact
 
     @pytest.mark.parametrize("value", [np.int64(3), None, 1j, True, float("nan"),
-                                       float("inf")])
+                                       float("inf"), "nan", "1/0"])
     def test_other_number_kinds_refused(self, value):
         with pytest.raises(rrsim.ConfigurationError):
             harness.endurance_cost(value, 1)

@@ -1,6 +1,7 @@
 """Profile model: curves, validation, sampling statistics, JSON round-trip."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -96,13 +97,17 @@ def test_endurance_ordering_enforced(profile):
     # Past sigma ~37.6 every lognormal factor is 0.0.
     (("reset_sigma",), 900),
     (("chip_variation",), 1000),
+    # Squaring 1e200 once raised OverflowError in the sigma check.
+    (("reset_sigma",), 1e200),
+    (("chip_variation",), 1e200),
 ], ids=["nan-curve", "fractional-endurance", "boolean-endurance",
         "infinite-time", "negative-temp-factor", "boolean-sigma",
         "boolean-time", "boolean-temperature", "boolean-curve-t0",
         "boolean-curve-p", "version-2", "unknown-field", "huge-time",
         "huge-temp-coeff", "huge-curve-a", "huge-endurance", "boolean-version",
         "float-version", "list-time", "empty-list-drift", "ragged-curve-p",
-        "underflowing-reset-sigma", "underflowing-chip-variation"])
+        "underflowing-reset-sigma", "underflowing-chip-variation",
+        "overflowing-reset-sigma", "overflowing-chip-variation"])
 def test_values_that_break_the_model_rejected(profile, path, value):
     d = json.loads(profile.to_json())
     *parents, name = path
@@ -112,6 +117,15 @@ def test_values_that_break_the_model_rejected(profile, path, value):
     target[name] = value
     with pytest.raises(rrsim.ConfigurationError):
         CalibrationProfile.from_json(json.dumps(d))
+
+
+@pytest.mark.parametrize("names", [("set_sigma", "reset_sigma"), ("reset_sigma",),
+                                   ("chip_variation",)],
+                         ids=["set-sigma", "reset-sigma", "chip-variation"])
+def test_wide_int64_sigma_rejected(profile, names):
+    # Squared in int64, 2**32 wraps to 0 and once passed the sigma check.
+    with pytest.raises(rrsim.ConfigurationError, match=f"{names[0]} .* too wide"):
+        replace(profile, **dict.fromkeys(names, np.int64(2**32)))
 
 
 def test_json_int_past_str_limit_rejected(profile):
