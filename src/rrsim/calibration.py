@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chip import ChipModel
+from .chip import BUFFER_SIZE, ChipModel
 from .errors import (ConfigurationError, FitError, NotSeparableError,
                      TruncatedRunWarning, WearOutError, whole)
 from .profile import CalibrationProfile, WearCurve, _lognormal, default_profile
@@ -70,14 +70,15 @@ def characterize(chip: ChipModel, addresses, max_pairs: int,
     toward the next level.  If the cells hit the endurance limit mid-run
     the record list is truncated and a TruncatedRunWarning is emitted.
     """
-    addrs = np.asarray(addresses)  # the chip's address rule refuses non-integers
+    addrs = np.asarray(addresses)
+    chip.wear_units(addrs)  # the chip's address rule, nothing changed
     if len(addrs) == 0:
         raise ConfigurationError("need at least one address to characterize")
     whole("max_pairs", max_pairs, 0, chip.profile.endurance_max)
     # max_pairs == 0 takes a single record and needs no interval.
     whole("sample_interval", sample_interval, 1 if max_pairs else None)
 
-    bin_size = min(chip.geometry.buffer_size, len(addrs))
+    bin_size = min(BUFFER_SIZE, len(addrs))
     n_bins = len(addrs) // bin_size  # trailing cells of a partial bin are unused
 
     def bin_means(times):
@@ -177,21 +178,19 @@ def fit_profile(records, template: CalibrationProfile | None = None
 
 
 def min_stress_for_separation(profile: CalibrationProfile, replica_size: int,
-                              confidence_samples: int = 10_000,
-                              seed: int = 0, grid_step: int = 1000) -> int:
+                              confidence_samples: int = 10_000, seed: int = 0) -> int:
     """Smallest grid stress whose replica means clear the fresh envelope.
 
-    Walks the stress grid and returns the first level where the empirical
-    minimum of `confidence_samples` stressed replica means exceeds the
-    empirical maximum of as many fresh ones (set curve, chips drawn per
-    sample).  Raises NotSeparableError if no level under the endurance
-    limit qualifies.
+    Walks the stress grid in steps of 1,000 pairs and returns the first
+    level where the empirical minimum of `confidence_samples` stressed
+    replica means exceeds the empirical maximum of as many fresh ones (set
+    curve, chips drawn per sample).  Raises NotSeparableError if no level
+    under the endurance limit qualifies.
     """
-    whole("grid_step", grid_step, 1)
     rng = np.random.Generator(np.random.PCG64(whole("seed", seed)))
     fresh_max = float(profile.sample_replica_means(
         "set", 0, replica_size, confidence_samples, rng).max())
-    for s in range(grid_step, profile.endurance_max + 1, grid_step):
+    for s in range(1000, profile.endurance_max + 1, 1000):
         stressed = profile.sample_replica_means(
             "set", s, replica_size, confidence_samples, rng)
         if float(stressed.min()) > fresh_max:

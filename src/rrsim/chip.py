@@ -32,6 +32,8 @@ STATE_MAGIC = b"RRSIM\x01"
 
 # Bit-transition units per full byte set-reset pair (8 bits down + 8 bits up).
 UNITS_PER_PAIR = 16
+BUFFER_SIZE = 256  # bytes per buffered write command: the part's write buffer
+MAX_ADDRESS_COUNT = 2**24  # 16 times the 8 Mb part: an 80 MB cell table
 
 _CELL_DTYPE = np.dtype([("stress", "<u4"), ("value", "u1")])
 _FRESH_CELL = b"\0\0\0\0\xff"  # one `_CELL_DTYPE` record: no wear, erased
@@ -47,14 +49,12 @@ _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
 @dataclass(frozen=True)
 class ChipGeometry:
-    """Addressable layout of the part: 8 Mb chip by default."""
+    """Addresses of the part: 8 Mb by default, BUFFER_SIZE to MAX_ADDRESS_COUNT."""
 
     address_count: int = 1_048_576
-    buffer_size: int = 256
 
     def __post_init__(self):
-        whole("address_count", self.address_count, 1)
-        whole("buffer_size", self.buffer_size, 1, self.address_count)
+        whole("address_count", self.address_count, BUFFER_SIZE, MAX_ADDRESS_COUNT)
 
 
 @dataclass
@@ -145,14 +145,14 @@ class ChipModel:
     def _index(self, addresses):
         """The address list as int64 and the index selecting its cells.
 
-        Refuses a list of non-integers or one that is not strictly
-        increasing (ConfigurationError), or one that leaves the chip
+        Refuses a list that is not one flat list of strictly increasing
+        whole numbers (ConfigurationError), or one that leaves the chip
         (BoundsError).  A contiguous run is indexed by a slice, which reads
         and writes the cell arrays without a gather or scatter.
         """
         addrs = np.asarray(addresses)
-        if addrs.size and addrs.dtype.kind not in "iu":
-            raise ConfigurationError("addresses must be whole numbers")
+        if addrs.ndim != 1 or addrs.size and addrs.dtype.kind not in "iu":
+            raise ConfigurationError("addresses must be one flat list of whole numbers")
         addrs = addrs.astype(np.int64, copy=False)
         if len(addrs) == 0:
             return addrs, addrs
@@ -249,10 +249,9 @@ class ChipModel:
         the seconds consumed.
         """
         buf = np.asarray(values)
-        size = self.geometry.buffer_size
-        if buf.ndim != 1 or len(buf) == 0 or len(buf) % size:
+        if buf.ndim != 1 or len(buf) == 0 or len(buf) % BUFFER_SIZE:
             raise ConfigurationError(
-                f"buffered write needs a whole number of {size}-byte buffers")
+                f"buffered write needs a whole number of {BUFFER_SIZE}-byte buffers")
         buf = _per_address("values", buf.shape, buf, np.uint8)
         self._check_range(base_address, len(buf))
         sl = slice(base_address, base_address + len(buf))
@@ -261,7 +260,7 @@ class ChipModel:
         hot = np.flatnonzero(toggled)
         self._check_wear(hot + base_address, wear[hot])
         return self._commit(self.profile.buffered_command_time, sl,
-                            wear + _POPCOUNT[toggled], len(buf) // size, buf)
+                            wear + _POPCOUNT[toggled], len(buf) // BUFFER_SIZE, buf)
 
     def apply_stress_pairs(self, addresses, pairs: int) -> float:
         """Apply `pairs` alternating all-zeros/all-ones buffered write pairs.
@@ -283,12 +282,11 @@ class ChipModel:
 
     def _buffer_span_count(self, addrs: np.ndarray) -> int:
         """Buffered commands needed to cover strictly increasing `addrs`:
-        ceil(length / buffer_size) per run of consecutive addresses."""
+        ceil(length / BUFFER_SIZE) per run of consecutive addresses."""
         gaps = np.diff(addrs)
         run_ends = np.append(np.flatnonzero(gaps != 1), len(gaps))
         lengths = np.diff(run_ends, prepend=-1)
-        size = self.geometry.buffer_size
-        return int((-(-lengths // size)).sum())
+        return int((-(-lengths // BUFFER_SIZE)).sum())
 
     def apply_transitions(self, addresses, transitions, seconds: float) -> None:
         """Add raw per-cell bit-transition counts plus a flat time cost.
@@ -366,9 +364,8 @@ class ChipModel:
     def _header(self) -> bytes:
         """The state file's magic and packed header; equal headers and
         cells make equal files, so chips compare as their files do."""
-        g = self.geometry
         return STATE_MAGIC + struct.pack(
-            _HEAD_FORMAT, g.address_count, 8, g.buffer_size,  # 8: the word length
+            _HEAD_FORMAT, self.geometry.address_count, 8, BUFFER_SIZE,  # 8: the word length
             self.seed, self.simulated_clock, self.temperature,
             self.random_delay_enabled)
 
@@ -436,17 +433,17 @@ def read_state(fh, profile: CalibrationProfile | None = None) -> ChipModel:
         raise FormatError("bad magic: not a chip-state file")
     if len(head) < _FILE_HEAD:
         raise FormatError("truncated chip-state header")
-    (address_count, word_length, buffer_size, seed, clock, temperature,
+    (address_count, word_length, buffer, seed, clock, temperature,
      random_delay) = struct.unpack_from(_HEAD_FORMAT, head, len(STATE_MAGIC))
     expected = address_count * _CELL_DTYPE.itemsize
     if left != expected:
         raise FormatError(
             f"wrong chip-state payload length: want {expected} cell bytes, "
             f"have {left}")
-    if word_length != 8:
-        raise FormatError(f"invalid geometry in state file: word length {word_length}, not 8")
+    if (word_length, buffer) != (8, BUFFER_SIZE):
+        raise FormatError(f"invalid geometry in state file: word {word_length}, buffer {buffer}")
     try:
-        geometry = ChipGeometry(address_count, buffer_size)
+        geometry = ChipGeometry(address_count)
     except ConfigurationError as exc:
         raise FormatError(f"invalid geometry in state file: {exc}") from exc
     if not 0 <= clock < np.inf:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import harness
 from .calibration import CharacterizationRecord, characterize, fit_profile
-from .chip import ChipGeometry, new_chip, read_state
+from .chip import BUFFER_SIZE, ChipGeometry, new_chip, read_state
 from .codec import Payload, decode, encode, generate_key, load_key, save_key
 from .errors import (AmbiguousDecodeWarning, ConfigurationError, FormatError,
                      RRSimError, WearOutError, read_text, write_csv)
@@ -128,7 +128,7 @@ def read_records_csv(path) -> list[CharacterizationRecord]:
 
 
 def cmd_characterize(args, profile) -> int:
-    chip = _chip(args, profile, address_count=max(args.addresses, 256))
+    chip = _chip(args, profile, address_count=max(args.addresses, BUFFER_SIZE))
     records = characterize(chip, np.arange(args.addresses), args.max_pairs,
                            args.interval)
     out = _out(args, args.out)

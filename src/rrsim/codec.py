@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .chip import UNITS_PER_PAIR, ChipGeometry, ChipModel
+from .chip import BUFFER_SIZE, UNITS_PER_PAIR, ChipGeometry, ChipModel
 from .errors import (AmbiguousDecodeWarning, ConfigurationError, EncodeError,
                      FormatError, UsedCellsWarning, WearOutError, dump_document,
                      load_document, read_text, real, whole, write_text)
@@ -41,8 +41,9 @@ class Payload:
     bits: tuple
 
     def __post_init__(self):
-        if len(self.bits) < 1:
-            raise ConfigurationError("payload must have at least one bit")
+        # A list would neither hash nor equal the tuple of the same bits.
+        if not isinstance(self.bits, tuple) or len(self.bits) < 1:
+            raise ConfigurationError("payload bits must be a tuple of at least one bit")
         # Exactly int: a bool or float bit equals 0 or 1 but breaks to_hex.
         if any(type(b) is not int or b not in (0, 1) for b in self.bits):
             raise ConfigurationError("payload bits must be the ints 0 or 1")
@@ -106,10 +107,11 @@ class HidingKey:
         whole("replica_count", self.replica_count, 1)
         whole("payload_length", self.payload_length, 1)
         whole("stress_count", self.stress_count)
+        if (not isinstance(self.rotations, tuple)  # as for Payload.bits
+                or len(self.rotations) != self.replica_count):
+            raise ConfigurationError("rotations must be a tuple of one per replica")
         for k in self.rotations:
             whole("rotations", k, 0, self.payload_length - 1)
-        if len(self.rotations) != self.replica_count:
-            raise ConfigurationError("need one rotation per replica")
 
     @property
     def layout_mode(self) -> str:
@@ -226,7 +228,7 @@ def _init_to_erased(chip: ChipModel, addresses: np.ndarray) -> float:
     """Write 0xFF to a contiguous footprint: every full buffer in one
     buffered write, the stragglers bytewise."""
     elapsed = 0.0
-    n_full = len(addresses) - len(addresses) % chip.geometry.buffer_size
+    n_full = len(addresses) - len(addresses) % BUFFER_SIZE
     if n_full:
         elapsed += chip.buffered_write(int(addresses[0]),
                                        np.full(n_full, 0xFF, dtype=np.uint8))
@@ -266,13 +268,13 @@ def decode(chip: ChipModel, key: HidingKey, threshold: float | None = None,
     if threshold is not None:
         real("threshold", threshold)
     if reference_addresses is not None:
+        reference_addresses = np.asarray(reference_addresses)
+        chip.wear_units(reference_addresses)  # the chip's address rule, nothing measured
         if len(reference_addresses) == 0:
             raise ConfigurationError("reference decoding needs reference addresses")
-        reference_addresses = np.asarray(reference_addresses)
         offsets = reference_addresses - key.base_address
         if np.any((offsets >= 0) & (offsets < key.footprint)):
             raise ConfigurationError("reference cells lie inside the footprint")
-        chip.wear_units(reference_addresses)  # the chip's address rule, nothing measured
     elif threshold is None:
         _check_kmeans(key)
     plan = AddressPlan(key, chip.geometry)

@@ -16,7 +16,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .chip import ChipModel
+from .chip import BUFFER_SIZE, ChipModel
 from .codec import HidingKey, Payload, _check_kmeans, decode, encode
 from .errors import ConfigurationError, UsedCellsWarning, real, whole, write_csv
 
@@ -52,10 +52,14 @@ def min_threshold_errors(means, truth):
     The cuts tried are one below all means, the midpoint of each pair of
     adjacent distinct means, and one above all.  A cut's errors are the
     bits at or below it that are not 0 plus those above it that are not 1,
-    counted by prefix sums over the means in sorted order.
+    counted by prefix sums over the means in sorted order.  Refuses means
+    and truth that are not one flat list each, of one same nonzero length.
     """
     means = np.asarray(means, dtype=float)
     truth = np.asarray(truth, dtype=np.int64)
+    if means.ndim != 1 or means.shape != truth.shape or len(means) == 0:
+        raise ConfigurationError(f"need one bit mean per true bit, not {means.shape} "
+                                 f"means and {truth.shape} bits")
     rank = np.argsort(means, kind="stable")
     ordered = means[rank]
     distinct = ordered[np.append(True, ordered[1:] != ordered[:-1])]
@@ -74,13 +78,13 @@ def separation_report(bit_means, truth, op, stress_count, post_stress=0,
     """Score recovered bit means against the true payload."""
     means = np.asarray(bit_means, dtype=float)
     truth_arr = np.asarray(truth, dtype=np.int64)
+    errors = min_threshold_errors(means, truth_arr)  # refuses mismatched lengths
     zeros = means[truth_arr == 0]
     ones = means[truth_arr == 1]
     # Rounded subtraction is monotone, so this is exactly the smallest
     # pairwise difference ones[j] - zeros[i].
     min_distance = (float(ones.min() - zeros.max()) if len(zeros) and len(ones)
                     else float("inf"))
-    errors = min_threshold_errors(means, truth_arr)
     decode_ber = None
     if decode_bits is not None:
         decode_ber = float(np.mean(np.asarray(decode_bits) != truth_arr))
@@ -138,7 +142,7 @@ def simulate_usage(chip: ChipModel, pattern: UsagePattern, cycles: int,
     transitions = np.zeros(count, dtype=np.int64)
     for q in pattern.toggle_probs:
         transitions += rng.binomial(writes, q, size=count)
-    commands = writes * -(-count // chip.geometry.buffer_size)
+    commands = writes * -(-count // BUFFER_SIZE)
     chip.apply_transitions(addrs, transitions,
                            commands * chip.profile.buffered_command_time)
     chip.set_values(addrs, rng.integers(0, 256, count, dtype=np.uint8))
@@ -280,14 +284,12 @@ def min_separable_replica(reports) -> int | None:
 
 
 def sweep_initial_stress(chip_factory, initial_grid, stress_count: int,
-                         ops=("set", "reset"), replica_size: int = 256
-                         ) -> list[SeparationReport]:
+                         ops=("set", "reset")) -> list[SeparationReport]:
     """Pre-age the footprint with realistic traffic, then hide and decode."""
     reports = []
     for s in initial_grid:
         chip = chip_factory()
-        key = HidingKey(0, replica_size, 1, (0,), len(_SWEEP_PAYLOAD),
-                        stress_count)
+        key = HidingKey(0, 256, 1, (0,), len(_SWEEP_PAYLOAD), stress_count)
         simulate_usage(chip, REALISTIC, s, (0, key.footprint))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UsedCellsWarning)

@@ -143,6 +143,7 @@ class TestSeparationThreshold:
     def test_default_anchor_near_12k(self, profile):
         s = rrsim.min_stress_for_separation(profile, 256, 10_000, seed=1)
         assert 11_000 <= s <= 13_000
+        assert s % 1000 == 0  # the grid walks 1,000-pair steps
 
     def test_single_cell_needs_more_stress_than_replica(self, profile):
         # Monte-Carlo oracle: averaging shrinks the noise of the mean.
@@ -184,9 +185,3 @@ class TestSeparationThreshold:
     def test_empty_draws_refused(self, profile, replica, samples):
         with pytest.raises(rrsim.ConfigurationError, match=">= 1"):
             rrsim.min_stress_for_separation(profile, replica, samples)
-
-    @pytest.mark.parametrize("step", [0, -5, 1000.0, float("nan")])
-    def test_non_positive_grid_step_refused(self, profile, step):
-        # Such a grid never reaches endurance_max; refused before any draw.
-        with pytest.raises(rrsim.ConfigurationError, match="grid_step"):
-            rrsim.min_stress_for_separation(profile, 256, 10_000, grid_step=step)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import rrsim
-from rrsim.chip import UNITS_PER_PAIR
+from rrsim.chip import BUFFER_SIZE, MAX_ADDRESS_COUNT, UNITS_PER_PAIR
 from conftest import fresh_chip, rng_for, wear_pairs
 
 
@@ -24,17 +24,17 @@ class TestConstruction:
     def test_default_geometry_is_8mb(self):
         geom = rrsim.ChipGeometry()
         assert geom.address_count == 1_048_576
-        assert geom.buffer_size == 256
+        assert BUFFER_SIZE == 256
 
     def test_zero_addresses_rejected(self, profile):
         with pytest.raises(rrsim.ConfigurationError):
             rrsim.new_chip(rrsim.ChipGeometry(address_count=0), profile, seed=1)
 
     @pytest.mark.parametrize("fields", [
-        {"address_count": 0}, {"buffer_size": 0},
-        {"address_count": 128},  # buffer of 256 larger than the chip
-        {"address_count": 4096.5}, {"buffer_size": 256.0},
-        {"buffer_size": True}])
+        {"address_count": 0}, {"address_count": MAX_ADDRESS_COUNT + 1},
+        {"address_count": 128},  # the 256-byte write buffer is larger
+        {"address_count": 4096.5}, {"address_count": 2**62},
+        {"address_count": True}])
     def test_bad_geometry_refused_when_built(self, fields):
         with pytest.raises(rrsim.ConfigurationError):
             rrsim.ChipGeometry(**fields)
@@ -463,6 +463,27 @@ REFUSED_CALLS = {
         [1, 2], [3, 4], np.array([1.0, 2.0])),
     "chip-string-delay-flag": lambda chip, rng: rrsim.new_chip(
         rrsim.ChipGeometry(1024), None, 1, "no"),
+    # An address list is one flat list; a scalar or a nested one is refused.
+    "wear-scalar-addresses": lambda chip, rng: chip.wear_units(7),
+    "wear-2d-addresses": lambda chip, rng: chip.wear_units([[1, 2]]),
+    "trace-scalar-addresses": lambda chip, rng: chip.measure_trace(7),
+    "trace-2d-addresses": lambda chip, rng: chip.measure_trace([[1, 2]]),
+    "pairs-scalar-addresses": lambda chip, rng: chip.apply_stress_pairs(7, 1),
+    "pairs-2d-addresses": lambda chip, rng: chip.apply_stress_pairs([[1, 2]], 1),
+    "values-scalar-addresses": lambda chip, rng: chip.set_values(7, 0),
+    "values-2d-addresses": lambda chip, rng: chip.set_values([[1, 2]], 0),
+    "decode-scalar-references": lambda chip, rng: rrsim.decode(
+        chip, rrsim.HidingKey(0, 4, 1, (0,), 8, 10), reference_addresses=9000),
+    "decode-2d-references": lambda chip, rng: rrsim.decode(
+        chip, rrsim.HidingKey(0, 4, 1, (0,), 8, 10), reference_addresses=[[9000, 9001]]),
+    "characterize-scalar-addresses": lambda chip, rng: rrsim.characterize(chip, 5, 100, 50),
+    "characterize-2d-addresses": lambda chip, rng: rrsim.characterize(
+        chip, [[1, 2]], 100, 50),
+    # Bits and rotations are tuples: a list neither hashes nor equals one.
+    "payload-list-bits": lambda chip, rng: rrsim.Payload([0, 1]),
+    "payload-int-bits": lambda chip, rng: rrsim.Payload(5),
+    "key-list-rotations": lambda chip, rng: rrsim.HidingKey(0, 4, 1, [0], 4, 10),
+    "key-int-rotations": lambda chip, rng: rrsim.HidingKey(0, 4, 1, 0, 4, 10),
 }
 
 

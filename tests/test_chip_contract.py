@@ -41,7 +41,7 @@ valid_addresses = st.one_of(ordered, runs,
 addresses = st.one_of(
     valid_addresses,
     st.lists(st.integers(-2, CELLS + 1), max_size=8),    # unsorted, repeated, outside
-    st.sampled_from([[1.5, 2.5], [True, False], [4095, 4096]]))
+    st.sampled_from([[1.5, 2.5], [True, False], [4095, 4096], 7, [[1, 2]]]))
 byte = st.one_of(st.integers(0, 0xFF), st.sampled_from([-1, 256, 300, 2.7, True]))
 pairs = st.one_of(st.integers(0, 2_000), st.sampled_from(
     [-1, 2.5, True, 999_999, 1_000_000, 2_000_000, 10**18, 2**63 - 1]))
@@ -126,12 +126,12 @@ class ChipContract(RuleBasedStateMachine):
     @rule(addrs=addresses, count=st.one_of(st.integers(0, 1_000), st.sampled_from(
         [-1, 2.5, 16_000_000, 10**18, 2**63 - 1, "each"])), seconds=amount)
     def apply_transitions(self, addrs, count, seconds):
-        counts = np.arange(len(addrs)) * 7 if count == "each" else count
+        counts = np.arange(np.size(addrs)) * 7 if count == "each" else count
         self.attempt(self.chip.apply_transitions, addrs, counts, seconds)
 
     @rule(addrs=addresses, value=st.one_of(byte, st.just("each")))
     def set_values(self, addrs, value):
-        values = np.arange(len(addrs)) % 256 if value == "each" else value
+        values = np.arange(np.size(addrs)) % 256 if value == "each" else value
         self.attempt(self.chip.set_values, addrs, values)
 
     @rule(addrs=addresses)

@@ -15,7 +15,7 @@ import pytest
 
 import rrsim
 from rrsim import cli, harness
-from rrsim.chip import UNITS_PER_PAIR
+from rrsim.chip import MAX_ADDRESS_COUNT, UNITS_PER_PAIR
 
 
 def run(args):
@@ -123,6 +123,19 @@ class TestHideRetrieve:
         assert code == cli.EXIT_FORMAT
         err = capsys.readouterr().err
         assert err.startswith("format error: ") and "clock" in err
+        assert "Traceback" not in err
+
+    def test_header_buffer_size_other_than_256_is_format_error(self, workdir, capsys):
+        run(hide_args(workdir))
+        blob = bytearray((workdir / "chip.bin").read_bytes())
+        struct.pack_into("<I", blob, len(rrsim.chip.STATE_MAGIC) + struct.calcsize("<QH"), 128)
+        (workdir / "chip.bin").write_bytes(blob)
+        capsys.readouterr()
+        code = run(["retrieve", "--key", str(workdir / "key.json"),
+                    "--chip", str(workdir / "chip.bin")])
+        assert code == cli.EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert err.startswith("format error: ") and "buffer 128" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("cut", ["nan", "inf"])
@@ -654,6 +667,14 @@ REFUSED_ARGUMENTS = {
     **{f"sweep-{kind}-seed-past-int64": ([*argv, "--seed", PAST_INT64], "seed")
        for kind, argv in TINY_SWEEPS.items()},
     "hide-negative-replicas": ([*REL_HIDE, "--replicas", "-1"], "replica_count"),
+    # Past MAX_ADDRESS_COUNT: refused before a cell table is allocated.
+    "hide-address-count-past-cap": (
+        [*REL_HIDE, "--address-count", str(2**62)], "address_count"),
+    "characterize-addresses-past-cap": (
+        [*TINY_CHARACTERIZE, "--addresses", str(MAX_ADDRESS_COUNT + 1)], "address_count"),
+    "sweep-address-count-past-cap": (
+        [*TINY_SWEEPS["post-hiding"], "--address-count", str(MAX_ADDRESS_COUNT + 1)],
+        "address_count"),
 }
 
 

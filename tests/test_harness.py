@@ -355,6 +355,16 @@ class TestCalculators:
         truth = [0, 0, 1, 1]   # interleaved: one bit must always err
         assert harness.min_threshold_errors(means, truth) == 1
 
+    @pytest.mark.parametrize("means, truth", [
+        ([1.0, 2.0, 3.0], [0, 1]), ([1.0], [0, 1]), ([], []),
+        ([[1.0, 2.0]], [[0, 1]])])
+    def test_means_and_truth_of_other_lengths_refused(self, means, truth):
+        # These escaped as IndexError, or as ZeroDivisionError for the BER.
+        with pytest.raises(rrsim.ConfigurationError, match="one bit mean per true bit"):
+            harness.separation_report(means, truth, "set", 1)
+        with pytest.raises(rrsim.ConfigurationError, match="one bit mean per true bit"):
+            harness.min_threshold_errors(means, truth)
+
 
 class TestCsv:
     def test_csv_layout_and_determinism(self, tmp_path, profile):

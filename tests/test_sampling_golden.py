@@ -32,7 +32,7 @@ GOLDEN = {
     "chip_factors": "65d716bc77f64880ecfb31e4f9094ae47459f1b6c18634b05c5da18bbac21e57",
     "fitted.profile": "aa9d3173badc11302e4eb670cbbfaf3ebee98bfeb86d0b3a2c94b9802d69b269",
     "min_stress.256": "7000",
-    "min_stress.16.step500": "14500",
+    "min_stress.16": "16000",
     "characterize.1000": "2170651035b41632f78355eb589148c1ca714b193f7114fe8c4aca52ed88950f",
     "characterize.300": "d450aafdb3af6377ccbe97e99121efc8793c278bb753e8ab129b4ac703550e26",
     "characterize.3": "e6e3ac220747277734a3a8048ac0acfc8222ec5616604ff1fca78a20ad254c00",
@@ -107,8 +107,8 @@ def test_min_stress(profile):
     got = {
         "min_stress.256": rrsim.min_stress_for_separation(
             profile, 256, confidence_samples=200, seed=1),
-        "min_stress.16.step500": rrsim.min_stress_for_separation(
-            profile, 16, confidence_samples=150, seed=2, grid_step=500),
+        "min_stress.16": rrsim.min_stress_for_separation(
+            profile, 16, confidence_samples=150, seed=2),
     }
     assert {k: repr(v) for k, v in got.items()} == {
         k: GOLDEN[k] for k in got}

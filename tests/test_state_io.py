@@ -285,7 +285,8 @@ def test_load_state_rejects_bad_clock(profile, clock):
 
 
 @pytest.mark.parametrize("fmt, offset, value", [
-    ("<H", WORD_LENGTH_OFFSET, 16), ("<I", BUFFER_SIZE_OFFSET, 0)])
+    ("<H", WORD_LENGTH_OFFSET, 16), ("<I", BUFFER_SIZE_OFFSET, 0),
+    ("<I", BUFFER_SIZE_OFFSET, 128), ("<I", BUFFER_SIZE_OFFSET, 1024)])
 def test_load_state_rejects_bad_geometry(profile, fmt, offset, value):
     blob = bytearray(worn_chip(profile).save_state())
     struct.pack_into(fmt, blob, offset, value)
@@ -346,7 +347,7 @@ def test_wear_field_largest_endurance_round_trips(profile):
 ONE_CHANGE = {
     "nothing": ({}, None),
     "seed": ({"seed": 2}, None),
-    "buffer size": ({"buffer_size": 128}, None),
+    "address count": ({"address_count": 2048}, None),
     "delay flag": ({"random_delay_enabled": True}, None),
     "clock": ({}, lambda chip: chip.age_retention(1.0)),
     "temperature": ({}, lambda chip: chip.set_temperature(40.0)),
@@ -355,8 +356,8 @@ ONE_CHANGE = {
 }
 
 
-def chip_with(profile, seed=1, buffer_size=256, random_delay_enabled=False):
-    chip = rrsim.new_chip(rrsim.ChipGeometry(1024, buffer_size=buffer_size),
+def chip_with(profile, seed=1, address_count=1024, random_delay_enabled=False):
+    chip = rrsim.new_chip(rrsim.ChipGeometry(address_count),
                           profile, seed, random_delay_enabled)
     chip.apply_stress_pairs([3, 4, 9], 5)
     return chip

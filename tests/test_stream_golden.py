@@ -40,7 +40,7 @@ GOLDEN = {
     "erase.state": "20add58a4059a023a2be7f8d9b3814e6534c12b820a80d4b71ee0588a2a50e7e",
     "post_hiding.csv": "d0ea1c2dd32681ecd1231ce403d58fc11f3f35561f43cc33eedd62f6db638343",
     "replica_size.csv": "cb33b0d961f472990f365d20d748e873ff0536bbcb74f13b4a2b22605580dd42",
-    "initial_stress.csv": "f0b8b865611c3ef29b7e3812b9cf874e375fca6b4315e895740bd123111b6183",
+    "initial_stress.csv": "3308639cd82437177e8b4a9e43da76afa5cbd65dc758668b3586ba1d57f234ea",
     "attack_wrong_base.csv": "4615ffc8f78a31e64ebf9ecd86d74dbf4352a18806b3f08ab90bf9dcc411370d",
     "attack_wrong_key.csv": "77a693f5858fcd5be8153575ea0fb474e82a926461eb54f584b8771e42096b23",
     "key.json": "569c8c7528cebf789e3eff07dfb6137ee493d3af9611a50ccd558108bf23df0d",
@@ -133,7 +133,7 @@ def test_initial_stress_sweep_csv(profile, tmp_path):
     seeds = iter(range(710, 720))
     reports = harness.sweep_initial_stress(
         lambda: fresh_chip(profile, seed=next(seeds)), [0, 60_000], 15_000,
-        ops=("set", "reset"), replica_size=128)
+        ops=("set", "reset"))
     assert [r.op for r in reports] == ["set", "reset"] * 2
     assert csv_digest(tmp_path, "initial-stress", reports, 7) == \
         GOLDEN["initial_stress.csv"]
