@@ -23,9 +23,10 @@ from .profile import CalibrationProfile, WearCurve, _lognormal, default_profile
 # Expected maximum of n i.i.d. standard normals, for turning min/max
 # envelopes of replica means back into a per-sample sigma estimate.
 _EXPECTED_MAX = {
-    2: 0.5642, 3: 0.8463, 4: 1.0294, 5: 1.1630, 6: 1.2672, 7: 1.3522,
-    8: 1.4236, 10: 1.5388, 12: 1.6292, 16: 1.7660, 24: 1.9467,
-    32: 2.0697, 48: 2.2249, 64: 2.3384,
+    2: 0.5642, 3: 0.8463, 4: 1.0294, 5: 1.1630, 6: 1.2672, 7: 1.3522, 8: 1.4236,
+    10: 1.5388, 12: 1.6292, 16: 1.7660, 24: 1.9477, 32: 2.0697, 48: 2.2331, 64: 2.3437,
+    128: 2.5946, 256: 2.8269, 512: 3.0439, 1024: 3.2482, 2048: 3.4418, 4096: 3.6261,
+    8192: 3.8023, 16384: 3.9714, 32768: 4.1341, 65536: 4.2911,  # 2**24 addresses / 256
 }
 
 
@@ -181,19 +182,23 @@ def min_stress_for_separation(profile: CalibrationProfile, replica_size: int,
                               confidence_samples: int = 10_000, seed: int = 0) -> int:
     """Smallest grid stress whose replica means clear the fresh envelope.
 
-    Walks the stress grid in steps of 1,000 pairs and returns the first
-    level where the empirical minimum of `confidence_samples` stressed
-    replica means exceeds the empirical maximum of as many fresh ones (set
-    curve, chips drawn per sample).  Raises NotSeparableError if no level
-    under the endurance limit qualifies.
+    Returns the first level on the 1,000-pair grid where the minimum of
+    `confidence_samples` stressed replica means exceeds the maximum of as many
+    fresh ones (set curve, chips drawn per sample).  Each level draws its means
+    in doubling chunks and stops at the first that does not clear, so only the
+    returned level draws them all.  Raises NotSeparableError if none does.
     """
     rng = np.random.Generator(np.random.PCG64(whole("seed", seed)))
     fresh_max = float(profile.sample_replica_means(
         "set", 0, replica_size, confidence_samples, rng).max())
     for s in range(1000, profile.endurance_max + 1, 1000):
-        stressed = profile.sample_replica_means(
-            "set", s, replica_size, confidence_samples, rng)
-        if float(stressed.min()) > fresh_max:
+        drawn = 0  # each chunk draws as many means as the level has so far, at least 1
+        while drawn < confidence_samples:
+            k = min(max(drawn, 1), confidence_samples - drawn)
+            if profile.sample_replica_means("set", s, replica_size, k, rng).min() <= fresh_max:
+                break
+            drawn += k
+        else:
             return s
     raise NotSeparableError(
         f"no stress level below {profile.endurance_max} pairs separates "

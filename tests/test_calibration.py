@@ -1,11 +1,13 @@
 """Characterization, curve fitting and the separation-threshold search."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import rrsim
-from rrsim.chip import UNITS_PER_PAIR
-from rrsim.calibration import _expected_range, synthesize_records
+from rrsim.chip import BUFFER_SIZE, UNITS_PER_PAIR
+from rrsim.calibration import _EXPECTED_MAX, _expected_range, synthesize_records
 from conftest import fresh_chip, rng_for
 
 
@@ -131,12 +133,35 @@ class TestFitProfile:
 @pytest.mark.parametrize("n, expected", [
     (8, 2 * 1.4236),                            # a key of the table
     (9, 1.4236 + 1.5388),                       # halfway from 8 to 10
-    (18, 2 * (0.75 * 1.7660 + 0.25 * 1.9467)),  # a quarter of 16 to 24
+    (18, 2 * (0.75 * 1.7660 + 0.25 * 1.9477)),  # a quarter of 16 to 24
     (1, 2 * 0.5642),                            # held at the lowest key
-    (100, 2 * 2.3384),                          # held at the highest key
+    (100, 2 * (0.4375 * 2.3437 + 0.5625 * 2.5946)),  # 36/64 of 64 to 128
+    (100_000, 2 * 4.2911),                      # held at the highest key
 ])
 def test_expected_range_interpolates_and_clamps(n, expected):
     assert _expected_range(n) == pytest.approx(expected, rel=1e-12)
+
+
+def expected_max_oracle(n):
+    """E[max of n standard normals]: the integral of n x phi(x) Phi(x)**(n-1)."""
+    x, dx = np.linspace(-10.0, 10.0, 200_001, retstep=True)
+    phi = np.exp(-x * x / 2) / np.sqrt(2 * np.pi)
+    cdf = np.concatenate([[0.0], np.cumsum(phi[1:] + phi[:-1]) * dx / 2])
+    return float(np.trapezoid(n * x * phi * cdf ** (n - 1), x))
+
+
+def test_expected_max_table_matches_integral():
+    # Keys run to 65,536 groups, the most a 2**24-address chip holds.
+    assert max(_EXPECTED_MAX) == 2**24 // BUFFER_SIZE
+    for n, value in _EXPECTED_MAX.items():
+        assert value == pytest.approx(expected_max_oracle(n), abs=5e-5), n
+
+
+def test_fitted_sigma_does_not_grow_with_group_count(profile):
+    levels = range(0, 1_000_001, 100_000)
+    sigma = {g: rrsim.fit_profile(synthesize_records(profile, levels, 256, g, seed=3)).set_sigma
+             for g in (64, 1024)}
+    assert sigma[1024] == pytest.approx(sigma[64], rel=0.10)
 
 
 class TestSeparationThreshold:
@@ -179,9 +204,76 @@ class TestSeparationThreshold:
         with pytest.raises(rrsim.NotSeparableError):
             rrsim.min_stress_for_separation(noisy, 256, 200, seed=5)
 
+    def test_empty_grid_raises_after_the_fresh_draw(self, profile, monkeypatch):
+        calls, _ = serve_blocks(monkeypatch, 100, seed=6)
+        short = dataclasses.replace(profile, endurance_rated=500, endurance_max=999)
+        with pytest.raises(rrsim.NotSeparableError):
+            rrsim.min_stress_for_separation(short, 256, 100, seed=6)
+        assert calls == [(0, 100)]
+
     @pytest.mark.parametrize("replica,samples", [
         (0, 100), (256, 0), (-1, -1), (2.5, 100), (True, 100), (256, 2000.0),
         (256, float("nan"))])
     def test_empty_draws_refused(self, profile, replica, samples):
         with pytest.raises(rrsim.ConfigurationError, match=">= 1"):
             rrsim.min_stress_for_separation(profile, replica, samples)
+
+
+def whole_block_walk(profile, replica_size, samples):
+    """The separation walk with one full block of stressed means per level;
+    run under `serve_blocks`, which supplies the means (no generator)."""
+    fresh_max = profile.sample_replica_means("set", 0, replica_size, samples, None).max()
+    for s in range(1000, profile.endurance_max + 1, 1000):
+        if profile.sample_replica_means("set", s, replica_size, samples, None).min() > fresh_max:
+            return s
+    return None
+
+
+DRAW = rrsim.CalibrationProfile.sample_replica_means
+
+
+def serve_blocks(monkeypatch, samples, seed):
+    """Make `sample_replica_means` serve each stress level's means, in order, from
+    one block of `samples` drawn on first use; returns the (stress, count) calls
+    and the blocks.
+
+    Chunked and whole-block walks then see the same means at every level."""
+    rng, blocks, calls = rng_for(seed), {}, []
+
+    def served(self, op, stress, replica_size, count, _rng):
+        if stress not in blocks:
+            blocks[stress] = DRAW(self, op, stress, replica_size, samples, rng)
+        start = sum(k for s, k in calls if s == stress)
+        calls.append((stress, int(count)))
+        return blocks[stress][start:start + count]
+
+    monkeypatch.setattr(rrsim.CalibrationProfile, "sample_replica_means", served)
+    return calls, blocks
+
+
+class TestSeparationWalk:
+    @pytest.mark.parametrize("replica", [1, 16, 256])
+    def test_decides_as_whole_blocks(self, profile, monkeypatch, replica):
+        for seed in range(20):
+            serve_blocks(monkeypatch, 100, seed)
+            got = rrsim.min_stress_for_separation(profile, replica, 100, seed=seed)
+            serve_blocks(monkeypatch, 100, seed)
+            assert got == whole_block_walk(profile, replica, 100), seed
+
+    @pytest.mark.parametrize("replica,samples,seed", [(256, 100, 0), (16, 100, 2), (1, 37, 3)])
+    def test_levels_stop_at_their_first_failing_chunk(self, profile, monkeypatch,
+                                                      replica, samples, seed):
+        calls, blocks = serve_blocks(monkeypatch, samples, seed)
+        got = rrsim.min_stress_for_separation(profile, replica, samples, seed=seed)
+        fresh_max = blocks[0].max()
+        assert calls[0] == (0, samples)
+        doubling = [min(2**i, samples) - min(2**i // 2, samples) for i in range(12)]
+        for s in range(1000, got + 1, 1000):
+            sizes = [k for level, k in calls if level == s]
+            assert sizes == doubling[:len(sizes)]
+            drawn = blocks[s][:sum(sizes)]
+            if s == got:
+                assert len(drawn) == samples and drawn.min() > fresh_max
+            else:
+                assert drawn[-sizes[-1]:].min() <= fresh_max < drawn[:-sizes[-1]].min(initial=np.inf)
+        assert all(level <= got for level, _ in calls)

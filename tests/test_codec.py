@@ -294,6 +294,45 @@ class TestDecode:
         assert abs(rate - 0.5) < band
 
 
+class TestInvariances:
+    """Temperature multiplies every time and the noise hashes only addresses
+    and wear, so neither a rated temperature nor a clone moves a decode."""
+
+    @staticmethod
+    def encoded(profile, seed):
+        chip = fresh_chip(profile, seed=seed)
+        key = rrsim.generate_key(32, 0, 64, 4, 12_000, rng_seed=seed,
+                                 geometry=chip.geometry)
+        payload = rrsim.Payload.random(32, rng_for(seed))
+        rrsim.encode(chip, key, payload)
+        return chip, key, payload
+
+    def test_kmeans_decode_same_at_every_rated_temperature(self, profile):
+        errors = 0
+        for seed in range(20):
+            chip, key, payload = self.encoded(profile, seed)
+            results = []
+            for celsius in (-40.0, 25.0, 85.0):
+                twin = chip.clone()
+                twin.set_temperature(celsius)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", rrsim.AmbiguousDecodeWarning)
+                    got = rrsim.decode(twin, key, op="reset")
+                results.append((got.payload, got.ambiguous))
+            assert results[0] == results[1] == results[2], seed
+            errors += sum(a != b for a, b in zip(results[0][0].bits, payload.bits))
+        assert errors > 0  # N 12,000 on reset leaves some bits wrong
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_clones_measure_equal_traces(self, profile, seed):
+        # So one trace can serve a set and a reset decode of the same state.
+        chip, key, _ = self.encoded(profile, seed)
+        plan = rrsim.AddressPlan(key, chip.geometry)
+        one, two = (twin.measure_trace(plan.addresses) for twin in (chip.clone(), chip.clone()))
+        for field in ("addresses", "set_times", "reset_times"):
+            assert np.array_equal(getattr(one, field), getattr(two, field)), field
+
+
 class TestKMeans:
     def test_separated_clusters(self):
         labels, (c0, c1) = rrsim.kmeans2([1e-6, 1e-6, 1e-6, 9e-6, 9e-6, 9e-6])
