@@ -7,8 +7,8 @@ from .chip import (ChipGeometry, ChipModel, TimingTrace, load_state, new_chip,
 from .calibration import (CharacterizationRecord, characterize, fit_profile,
                           min_stress_for_separation, synthesize_records)
 from .codec import (AddressPlan, DecodeResult, EncodeReport, HidingKey,
-                    Payload, best_threshold, decode, encode, generate_key,
-                    kmeans2, load_key, save_key)
+                    Payload, best_threshold, classify, decode, encode,
+                    generate_key, kmeans2, load_key, measure, save_key)
 from .errors import (AmbiguousDecodeWarning, BoundsError, ConfigurationError,
                      EncodeError, FitError, FormatError, NotSeparableError,
                      RRSimError, TruncatedRunWarning, UsedCellsWarning,

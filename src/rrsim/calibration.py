@@ -31,13 +31,9 @@ _EXPECTED_MAX = {
 
 
 def _expected_range(n: int) -> float:
-    """Expected range of n standard normals, held at the table's ends."""
-    keys = sorted(_EXPECTED_MAX)
-    n = min(max(n, keys[0]), keys[-1])
-    lo = max(k for k in keys if k <= n)
-    hi = min(k for k in keys if k >= n)
-    w = (n - lo) / (hi - lo) if hi > lo else 0.0
-    return 2 * ((1 - w) * _EXPECTED_MAX[lo] + w * _EXPECTED_MAX[hi])
+    """E[range] of n standard normals: the table interpolated in ln n, held at its ends."""
+    return 2 * float(np.interp(np.log(n), np.log(list(_EXPECTED_MAX)),
+                               list(_EXPECTED_MAX.values())))
 
 
 @dataclass(frozen=True)

@@ -94,7 +94,10 @@ def _grid(text: str) -> list[int]:
                 raise ConfigurationError(
                     "grid must be ascending with positive step")
             return list(range(start, stop + 1, step))
-        return [int(p) for p in text.split(",") if p]
+        values = [int(p) for p in text.split(",") if p]
+        if not values:
+            raise ConfigurationError(f"grid {text!r} lists no value")
+        return values
     except ValueError as exc:
         raise ConfigurationError(f"bad grid {text!r}: {exc}") from exc
 

@@ -26,6 +26,7 @@ from .chip import BUFFER_SIZE, UNITS_PER_PAIR, ChipGeometry, ChipModel
 from .errors import (AmbiguousDecodeWarning, ConfigurationError, EncodeError,
                      FormatError, UsedCellsWarning, WearOutError, dump_document,
                      load_document, read_text, real, whole, write_text)
+from .profile import _known_op
 
 KEY_VERSION = 1
 
@@ -261,8 +262,6 @@ def decode(chip: ChipModel, key: HidingKey, threshold: float | None = None,
     The cut is `threshold` if given, else derived from `reference_addresses`
     (spare fresh cells outside the footprint) if given, else the two-cluster
     split of the bit means; giving both is refused."""
-    if op not in ("set", "reset"):
-        raise ConfigurationError("op must be 'set' or 'reset'")
     if threshold is not None and reference_addresses is not None:
         raise ConfigurationError("give a threshold or reference addresses, not both")
     if threshold is not None:
@@ -277,32 +276,49 @@ def decode(chip: ChipModel, key: HidingKey, threshold: float | None = None,
             raise ConfigurationError("reference cells lie inside the footprint")
     elif threshold is None:
         _check_kmeans(key)
-    plan = AddressPlan(key, chip.geometry)
-    trace = chip.measure_trace(plan.addresses)
-    times = trace.set_times if op == "set" else trace.reset_times
-    means = plan.bit_means(times)
-
-    ambiguous = False
-    if threshold is not None:
-        cut = float(threshold)
-        bits = (means > cut).astype(np.int64)
-    elif reference_addresses is not None:
+    [means] = measure(chip, key, (op,))  # refuses a bad op before measuring
+    if reference_addresses is not None:  # after the footprint: the noise reads the clock
         ref = chip.measure_trace(reference_addresses)
         ref_mean = float((ref.set_times if op == "set" else ref.reset_times).mean())
-        ratio = (chip.profile.mean_time(op, key.stress_count)
-                 / chip.profile.mean_time(op, 0))
-        cut = 0.5 * (ref_mean + ref_mean * ratio)
+        ratio = chip.profile.mean_time(op, key.stress_count) / chip.profile.mean_time(op, 0)
+        threshold = 0.5 * (ref_mean + ref_mean * ratio)
+    return classify(means, op, threshold)
+
+
+def measure(chip: ChipModel, key: HidingKey, ops) -> list:
+    """Each op's payload-bit means from one measurement of the key's
+    footprint (the noise hashes only addresses and wear)."""
+    ops = [_known_op(op) for op in ops]
+    plan = AddressPlan(key, chip.geometry)
+    trace = chip.measure_trace(plan.addresses)
+    return [plan.bit_means(trace.set_times if op == "set" else trace.reset_times)
+            for op in ops]
+
+
+def classify(means, op: str, cut: float | None = None) -> DecodeResult:
+    """Cut one flat list of finite bit means into bits, 1 above the cut: the
+    given `cut`, else the midpoint of the two-cluster split, which warns
+    and flags the result ambiguous when the split is within the noise."""
+    _known_op(op)
+    means = np.asarray(real("means", means, array=True), dtype=float)
+    if means.ndim != 1:
+        raise ConfigurationError("means must be one flat list")
+    ambiguous = False
+    if cut is not None:
+        cut = float(real("cut", cut))
         bits = (means > cut).astype(np.int64)
     else:
-        labels, (c0, c1) = kmeans2(means)
+        bits, (c0, c1) = kmeans2(means)
         cut = 0.5 * (c0 + c1)
-        bits = labels
-        ambiguous = _is_ambiguous(means, labels, c0, c1)
+        # Within the noise floor: a centroid gap under twice the clusters'
+        # summed spread, or under 5 % of c0 when neither cluster spreads.
+        spread = sum(float(m.std()) for m in (means[bits == 0], means[bits == 1])
+                     if len(m) > 1)
+        ambiguous = c1 <= c0 or (c1 - c0) < (2.0 * spread if spread else 0.05 * c0)
         if ambiguous:
             warnings.warn(
                 "cluster separation is within the noise floor; decoded bits "
                 "are a best guess", AmbiguousDecodeWarning)
-
     return DecodeResult(
         payload=Payload(tuple(int(b) for b in bits)),
         bit_means=means,
@@ -317,21 +333,6 @@ def _check_kmeans(key: HidingKey) -> None:
     if key.payload_length < 2:
         raise ConfigurationError("kmeans decoding needs at least two payload "
                                  "bits; decode by reference addresses")
-
-
-def _is_ambiguous(means, labels, c0, c1) -> bool:
-    """Ambiguous when the centroid gap is within the cluster noise."""
-    if c1 <= c0:
-        return True
-    spread = 0.0
-    for lab, c in ((0, c0), (1, c1)):
-        member = means[labels == lab]
-        if len(member) > 1:
-            spread += float(member.std())
-    if spread == 0.0:
-        # Degenerate single-member clusters: fall back to a relative gap test.
-        return (c1 - c0) < 0.05 * c0
-    return (c1 - c0) < 2.0 * spread
 
 
 # ---------------------------------------------------------------------------

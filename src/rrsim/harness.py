@@ -17,7 +17,7 @@ from typing import ClassVar
 import numpy as np
 
 from .chip import BUFFER_SIZE, ChipModel
-from .codec import HidingKey, Payload, _check_kmeans, decode, encode
+from .codec import HidingKey, Payload, _check_kmeans, classify, encode, measure
 from .errors import ConfigurationError, UsedCellsWarning, real, whole, write_csv
 
 REPORT_COLUMNS = ("sweep_id", "N", "post_stress", "op", "replica_size",
@@ -176,7 +176,7 @@ def attack_wrong_base(chip: ChipModel, key: HidingKey, truth: Payload,
         raise ConfigurationError("offset_mode must be case1, case2 or case3")
     wrong = replace(key, base_address=key.base_address
                     + max(offsets[offset_mode], 1))
-    return _scored_decode(chip.clone(), wrong, truth, op)
+    return _scored_decode(chip.clone(), wrong, truth, (op,))[0]
 
 
 def attack_wrong_key(chip: ChipModel, key: HidingKey, truth: Payload,
@@ -190,20 +190,20 @@ def attack_wrong_key(chip: ChipModel, key: HidingKey, truth: Payload,
         if rotations != key.rotations:
             break
     wrong = replace(key, rotations=rotations)
-    return _scored_decode(chip.clone(), wrong, truth, op)
+    return _scored_decode(chip.clone(), wrong, truth, (op,))[0]
 
 
-def _scored_decode(chip: ChipModel, key: HidingKey, truth: Payload, op: str,
-                   post_stress: int = 0) -> SeparationReport:
-    """Kmeans-decode `chip` in place, warnings silenced, and score it;
-    callers that must keep the chip's state pass a clone."""
+def _scored_decode(chip: ChipModel, key: HidingKey, truth: Payload, ops,
+                   post_stress: int = 0) -> list[SeparationReport]:
+    """Measure `chip` in place once and score a kmeans decode per op, warnings
+    silenced; callers that must keep the chip's state pass a clone."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        result = decode(chip, key, op=op)
-    return separation_report(
-        result.bit_means, truth.bits, op=op, stress_count=key.stress_count,
+        results = [classify(means, op) for means, op in zip(measure(chip, key, ops), ops)]
+    return [separation_report(
+        r.bit_means, truth.bits, op=r.op, stress_count=key.stress_count,
         post_stress=post_stress, replica_size=key.replica_size,
-        decode_bits=result.payload.bits)
+        decode_bits=r.payload.bits) for r in results]
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +231,7 @@ def sweep_post_hiding(chip_factory, stress_counts, post_grid, op: str = "set"
         for s in post_grid:
             twin = chip.clone()
             simulate_usage(twin, WORST_CASE, s, (0, key.footprint))
-            reports.append(_scored_decode(twin, key, _SWEEP_PAYLOAD, op, s))
+            reports += _scored_decode(twin, key, _SWEEP_PAYLOAD, (op,), s)
     return reports
 
 
@@ -242,6 +242,7 @@ def stress_tolerance(reports, stress_count: int, max_errors: int = 0) -> int:
     first grid point with more than `max_errors` bit errors is the one
     after X.  Returns 0 when even the first aged point fails.
     """
+    whole("max_errors", max_errors, 0)
     rows = sorted((r for r in reports if r.stress_count == stress_count),
                   key=lambda r: r.post_stress)
     if not rows:
@@ -266,7 +267,7 @@ def sweep_replica_size(chip_factory, sizes, op: str = "set",
         chip = chip_factory()
         key = HidingKey(0, size, 1, (0,), len(pay), stress_count)
         encode(chip, key, pay)
-        reports.append(_scored_decode(chip, key, pay, op))
+        reports += _scored_decode(chip, key, pay, (op,))
     return reports
 
 
@@ -294,8 +295,7 @@ def sweep_initial_stress(chip_factory, initial_grid, stress_count: int,
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UsedCellsWarning)
             encode(chip, key, _SWEEP_PAYLOAD)
-        for op in ops:
-            reports.append(_scored_decode(chip.clone(), key, _SWEEP_PAYLOAD, op, s))
+        reports += _scored_decode(chip, key, _SWEEP_PAYLOAD, ops, s)
     return reports
 
 

@@ -1,6 +1,7 @@
 """Characterization, curve fitting and the separation-threshold search."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -130,12 +131,17 @@ class TestFitProfile:
             rrsim.fit_profile(flat)
 
 
+def log_between(n, lo, hi):
+    """How far n lies from key lo to key hi, in ln n."""
+    return math.log(n / lo) / math.log(hi / lo)
+
+
 @pytest.mark.parametrize("n, expected", [
     (8, 2 * 1.4236),                            # a key of the table
-    (9, 1.4236 + 1.5388),                       # halfway from 8 to 10
-    (18, 2 * (0.75 * 1.7660 + 0.25 * 1.9477)),  # a quarter of 16 to 24
+    (9, 2 * (1.4236 + log_between(9, 8, 10) * (1.5388 - 1.4236))),
+    (18, 2 * (1.7660 + log_between(18, 16, 24) * (1.9477 - 1.7660))),
     (1, 2 * 0.5642),                            # held at the lowest key
-    (100, 2 * (0.4375 * 2.3437 + 0.5625 * 2.5946)),  # 36/64 of 64 to 128
+    (100, 2 * (2.3437 + log_between(100, 64, 128) * (2.5946 - 2.3437))),
     (100_000, 2 * 4.2911),                      # held at the highest key
 ])
 def test_expected_range_interpolates_and_clamps(n, expected):
@@ -148,6 +154,12 @@ def expected_max_oracle(n):
     phi = np.exp(-x * x / 2) / np.sqrt(2 * np.pi)
     cdf = np.concatenate([[0.0], np.cumsum(phi[1:] + phi[:-1]) * dx / 2])
     return float(np.trapezoid(n * x * phi * cdf ** (n - 1), x))
+
+
+@pytest.mark.parametrize("n", [96, 768, 3000])
+def test_expected_range_between_keys_tracks_integral(n):
+    # Between power-of-two keys E[max] is near linear in ln n, not in n.
+    assert _expected_range(n) == pytest.approx(2 * expected_max_oracle(n), rel=2e-3)
 
 
 def test_expected_max_table_matches_integral():

@@ -285,15 +285,22 @@ class TestAttackAndSweep:
         assert lines[0].startswith("sweep_id,")
         assert len(lines) == 3
 
-    def test_empty_grid_header_only(self, workdir):
-        code = run(["sweep", "--kind", "initial-stress", "--grid", "",
-                    "--out", str(workdir / "empty.csv"),
-                    "--address-count", "16384", "--seed", "4"])
-        assert code == 0
-        rows = [ln for ln in (workdir / "empty.csv").read_text().splitlines()
-                if ln and not ln.startswith("#")]
-        assert rows == \
-            ["sweep_id,N,post_stress,op,replica_size,min_distance_s,ber,errors"]
+    @pytest.mark.parametrize("kind, option, text", [
+        ("post-hiding", "--grid", ","), ("post-hiding", "--n-list", ","),
+        ("replica-size", "--sizes", ","), ("initial-stress", "--grid", ","),
+        ("initial-stress", "--grid", "")])
+    def test_list_with_no_value_is_usage_error(self, workdir, monkeypatch, capsys,
+                                               kind, option, text):
+        # Refused before any chip is built or file written; a post-hiding
+        # sweep used to encode its chips first.
+        built = []
+        monkeypatch.setattr(cli, "new_chip", lambda *a: built.append(a) or rrsim.new_chip(*a))
+        code = run(["sweep", "--kind", kind, option, text, "--out", "s.csv",
+                    "--address-count", "16384"])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: grid {text!r} lists no value")
+        assert built == []
+        assert os.listdir(workdir) == []
 
     @pytest.mark.parametrize("grid", ["1:2", "5:1:1", "a,b"])
     def test_bad_grid_is_usage_error(self, workdir, grid):
@@ -392,7 +399,7 @@ class TestUnwritableOutput:
 
     def test_sweep_out(self, workdir, capsys):
         self.assert_usage_error(
-            ["sweep", "--kind", "initial-stress", "--grid", "",
+            ["sweep", "--kind", "initial-stress", "--grid", "0",
              "--out", str(workdir / "missing" / "s.csv"),
              "--address-count", "16384", "--seed", "4"], capsys)
 
@@ -406,10 +413,10 @@ class TestUnwritableOutput:
 
 
 def test_main_reuses_one_parser(workdir):
-    run(["sweep", "--kind", "initial-stress", "--grid", "",
+    run(["sweep", "--kind", "initial-stress", "--grid", "0",
          "--out", str(workdir / "a.csv"), "--address-count", "16384"])
     parser = cli._parser()
-    run(["sweep", "--kind", "initial-stress", "--grid", "",
+    run(["sweep", "--kind", "initial-stress", "--grid", "0",
          "--out", str(workdir / "b.csv"), "--address-count", "16384"])
     assert cli._parser() is parser
     assert cli.build_parser() is not parser
@@ -514,7 +521,7 @@ class TestOutDir:
     def test_absolute_output_ignores_out_dir(self, workdir):
         target = str(workdir / "abs.csv")
         code, out, _ = captured(["sweep", "--kind", "initial-stress",
-                                 "--grid", "", "--out", target,
+                                 "--grid", "0", "--out", target,
                                  "--out-dir", "d", "--address-count", "16384"])
         assert code == cli.EXIT_OK
         assert f"-> {target}\n" in out

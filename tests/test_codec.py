@@ -333,6 +333,81 @@ class TestInvariances:
             assert np.array_equal(getattr(one, field), getattr(two, field)), field
 
 
+class TestClassify:
+    """`decode` is one measurement of the footprint and a `classify` of its
+    bit means, so classifying one measurement reproduces a decode."""
+
+    @staticmethod
+    def encoded(profile, seed):
+        # Every fourth chip is left fresh, so some kmeans decodes are ambiguous.
+        chip = fresh_chip(profile, seed=seed)
+        key = rrsim.generate_key(32, 0, 64, 4, (0, 4_000, 12_000, 15_000)[seed % 4],
+                                 rng_seed=seed, geometry=chip.geometry)
+        rrsim.encode(chip, key, rrsim.Payload.random(32, rng_for(seed)))
+        return chip, key
+
+    @staticmethod
+    def warned(call):
+        """The call's result and the categories of the warnings it raised."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = call()
+        return result, [w.category for w in caught]
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got.payload == want.payload
+        assert got.bit_means.tobytes() == want.bit_means.tobytes()
+        for field in ("threshold_used", "confidence", "ambiguous", "op"):
+            assert getattr(got, field) == getattr(want, field), field
+
+    def test_one_measurement_classifies_like_decode(self, profile):
+        ambiguous = 0
+        for seed in range(20):
+            chip, key = self.encoded(profile, seed)
+            means = rrsim.measure(chip.clone(), key, ("set", "reset"))
+            for op, op_means in zip(("set", "reset"), means):
+                got, got_warnings = self.warned(lambda: rrsim.classify(op_means, op))
+                want, want_warnings = self.warned(
+                    lambda: rrsim.decode(chip.clone(), key, op=op))
+                self.assert_same(got, want)
+                assert got_warnings == want_warnings
+                assert want_warnings == ([rrsim.AmbiguousDecodeWarning]
+                                         if want.ambiguous else [])
+                ambiguous += want.ambiguous
+        assert 0 < ambiguous < 40
+
+    @pytest.mark.parametrize("op", ["set", "reset"])
+    def test_classify_at_a_cut_equals_threshold_decode(self, profile, op):
+        for seed in range(4):
+            chip, key = self.encoded(profile, seed)
+            cut = 0.5 * (profile.mean_time(op, 0) + profile.mean_time(op, 12_000))
+            [means] = rrsim.measure(chip.clone(), key, (op,))
+            self.assert_same(rrsim.classify(means, op, cut),
+                             rrsim.decode(chip.clone(), key, threshold=cut, op=op))
+
+    @pytest.mark.parametrize("means, cut", [
+        ([], None), ([1e-4], None), ([1e-4, 2e-4], float("nan")),
+        ([1e-4, 2e-4], float("inf")), ([1e-4, 2e-4], "1e-4"),
+        # Means that escaped as numpy errors or gave a NaN cut.
+        ([[1e-4, 2e-4], [3e-4, 4e-4]], None), ([[1e-4, 2e-4]], 1.5e-4),
+        ([1e-4, float("nan"), 2e-4], None), (["a", "b"], None)],
+        ids=["no-means", "one-mean", "nan-cut", "inf-cut", "str-cut",
+             "2d-means", "2d-means-at-cut", "nan-mean", "str-means"])
+    def test_refusals(self, means, cut):
+        with pytest.raises(rrsim.ConfigurationError):
+            rrsim.classify(means, "set", cut)
+
+    def test_bad_op_refused_before_measuring(self, profile):
+        chip, key = self.encoded(profile, 3)
+        before = chip.clone()
+        with pytest.raises(rrsim.ConfigurationError):
+            rrsim.measure(chip, key, ("set", "both"))
+        assert chip == before
+        with pytest.raises(rrsim.ConfigurationError):
+            rrsim.classify([1e-4, 2e-4], "both")
+
+
 class TestKMeans:
     def test_separated_clusters(self):
         labels, (c0, c1) = rrsim.kmeans2([1e-6, 1e-6, 1e-6, 9e-6, 9e-6, 9e-6])

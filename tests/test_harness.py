@@ -294,6 +294,28 @@ class TestSweeps:
         with pytest.raises(rrsim.ConfigurationError):
             harness.stress_tolerance([], 15_000)
 
+    @pytest.mark.parametrize("max_errors", [-1, True, 1.0, None])
+    def test_tolerance_refuses_a_bad_error_budget(self, max_errors):
+        # -1 read as "no point passes" and True as a budget of one error.
+        reports = [harness.SeparationReport("set", 15_000, s, 256, 1e-6, e, e / 32)
+                   for s, e in ((0, 0), (10_000, 1), (20_000, 2))]
+        with pytest.raises(rrsim.ConfigurationError, match="max_errors"):
+            harness.stress_tolerance(reports, 15_000, max_errors=max_errors)
+
+    def test_initial_stress_measures_each_chip_state_once(self, profile, monkeypatch):
+        # One trace serves both ops, so no op decodes a clone of its own.
+        clones = []
+        clone = rrsim.ChipModel.clone
+        monkeypatch.setattr(rrsim.ChipModel, "clone",
+                            lambda chip: clones.append(chip) or clone(chip))
+        seeds = iter(range(700, 800))
+        reps = harness.sweep_initial_stress(
+            lambda: fresh_chip(profile, next(seeds)), [0, 50_000], 15_000,
+            ops=("set", "reset"))
+        assert [(r.post_stress, r.op) for r in reps] == [
+            (0, "set"), (0, "reset"), (50_000, "set"), (50_000, "reset")]
+        assert clones == []
+
 
 class TestCalculators:
     def test_encode_time_anchor(self):
